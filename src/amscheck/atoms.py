@@ -9,7 +9,9 @@ scan can see; sampling must be dense enough to expose them.
 
 The same single-segment state machine drives both the batch evaluator
 here and the incremental trackers used for streaming, so both produce
-identical components by construction.
+identical components by construction.  A streaming tracker may drop its
+completed runs that end before a cut instant (`drop_before`); the runs
+it keeps are still exactly the batch components.
 
 Event semantics: an event marks the boundary instant where a
 predicate's truth starts (pos) or ends (neg).  The trace start carries
@@ -40,7 +42,22 @@ def _check_analog(trace: Trace, porv: ast.Porv) -> tuple[str, ...]:
     return sigs
 
 
-class PorvTracker:
+class _RunTracker:
+    """Completed truth runs in time order, trimmable from the front."""
+
+    completed: list[Interval]
+
+    def drop_before(self, cut: float) -> None:
+        """Forget completed runs that end before ``cut``."""
+        runs = self.completed
+        k = 0
+        while k < len(runs) and runs[k].hi < cut:
+            k += 1
+        if k:
+            del runs[:k]
+
+
+class PorvTracker(_RunTracker):
     """Incremental truth-run builder for one predicate."""
 
     def __init__(self, porv: ast.Porv, eps: float = TIME_TOL):
@@ -54,14 +71,12 @@ class PorvTracker:
         self.prev_t: float | None = None
         self.prev_vals: dict[str, float] = {}
         self.prev_g: float = 0.0
-        self.version = 0
 
     # -- run bookkeeping ------------------------------------------------
 
     def _open(self, t: float, closed: bool) -> None:
         if self.run is None:
             self.run = (t, closed)
-            self.version += 1
 
     def _close(self, t: float, closed: bool) -> None:
         if self.run is not None:
@@ -69,7 +84,6 @@ class PorvTracker:
             if not iv.is_empty:
                 self.completed.append(iv)
             self.run = None
-            self.version += 1
 
     # -- crossing refinement --------------------------------------------
 
@@ -138,7 +152,7 @@ class PorvTracker:
         return out
 
 
-class BoolTracker:
+class BoolTracker(_RunTracker):
     """Incremental truth-run builder for a digital signal (hold semantics)."""
 
     def __init__(self, name: str):
@@ -146,13 +160,11 @@ class BoolTracker:
         self.completed: list[Interval] = []
         self.run_start: float | None = None
         self.prev: float = 0.0
-        self.version = 0
 
     def begin(self, t0: float, vals: dict[str, float]) -> None:
         v = vals[self.name]
         if v == 1.0:
             self.run_start = t0
-            self.version += 1
         self.prev = v
 
     def advance(self, t1: float, vals: dict[str, float]) -> None:
@@ -160,10 +172,8 @@ class BoolTracker:
         if self.prev == 1.0 and v == 0.0 and self.run_start is not None:
             self.completed.append(Interval(self.run_start, t1, True, False))
             self.run_start = None
-            self.version += 1
         elif self.prev == 0.0 and v == 1.0:
             self.run_start = t1
-            self.version += 1
         self.prev = v
 
     def components(self, t_now: float) -> list[Interval]:

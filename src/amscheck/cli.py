@@ -19,8 +19,8 @@ from .ast import horizon
 from .atoms import build_table
 from .codegen import CodegenConfig, generate_monitors
 from .engine import assertion_match
-from .errors import AmscheckError
-from .intervals import Interval, IntervalSet, set_union
+from .errors import AmscheckError, ProtocolError
+from .intervals import Interval, IntervalSet
 from .online import Session
 from .oracle import oracle_classify
 from .parser import parse_file
@@ -110,15 +110,11 @@ def cmd_stream(args) -> int:
     sess = Session(props, kinds, eps=args.time_tol)
     out = sys.stdout
     names = list(kinds)
-    totals: dict[str, dict[str, IntervalSet]] = {}
-
-    def record(v):
-        per = totals.setdefault(v.name, {})
-        cur = per.get(v.kind, IntervalSet([], args.time_tol))
-        per[v.kind] = set_union(cur, IntervalSet([v.interval], args.time_tol), args.time_tol)
+    # verdict intervals per assertion and kind, normalized once at the end
+    totals: dict[str, dict[str, list[Interval]]] = {}
 
     def emit(v):
-        record(v)
+        totals.setdefault(v.name, {}).setdefault(v.kind, []).append(v.interval)
         out.write(
             json.dumps(
                 {
@@ -147,18 +143,27 @@ def cmd_stream(args) -> int:
         except ValueError:
             print(f"stdin:{lineno}: bad number", file=sys.stderr)
             return 2
-        for v in sess.feed(t, vals):
+        try:
+            verdicts = sess.feed(t, vals)
+        except ProtocolError as e:
+            print(f"stdin:{lineno}: {e}", file=sys.stderr)
+            return 2
+        for v in verdicts:
             emit(v)
     for v in sess.finalize():
         emit(v)
+    merged = {
+        name: {kind: IntervalSet(ivs, args.time_tol) for kind, ivs in per.items()}
+        for name, per in totals.items()
+    }
     summary = {
         "summary": {
             name: {kind: _set_rows(s) for kind, s in sorted(per.items())}
-            for name, per in sorted(totals.items())
+            for name, per in sorted(merged.items())
         }
     }
     out.write(json.dumps(summary, sort_keys=True) + "\n")
-    failed = any("fail" in per and not per["fail"].is_empty for per in totals.values())
+    failed = any("fail" in per and not per["fail"].is_empty for per in merged.values())
     return 1 if failed else 0
 
 

@@ -19,6 +19,7 @@ Other ``#`` lines are comments.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from typing import Iterable, Mapping
 
@@ -28,6 +29,16 @@ from .errors import TraceError, UnknownSignalError
 from .intervals import Interval
 
 KINDS = ("analog", "boolean")
+
+
+def _first_non_finite(values: list[float]) -> int | None:
+    """Index of the first nan or inf in ``values``, or None."""
+    # a nan or inf anywhere makes the sum non-finite, and summing a list of
+    # floats costs less than converting it to an array
+    if math.isfinite(sum(values)):
+        return None
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+    return int(bad[0]) if bad.size else None
 
 
 class Trace:
@@ -40,9 +51,14 @@ class Trace:
         self._times = [float(t) for t in times]
         if len(self._times) < 2:
             raise TraceError("a trace needs at least two samples")
-        for a, b in zip(self._times, self._times[1:]):
-            if not b > a:
-                raise TraceError(f"time axis must be strictly increasing (at t={b!r})")
+        if (i := _first_non_finite(self._times)) is not None:
+            raise TraceError(f"time axis has non-finite value {self._times[i]!r} at sample {i}")
+        # the array built for this check is the one times() returns
+        t_arr = np.asarray(self._times, dtype=float)
+        bad = np.flatnonzero(~(t_arr[1:] > t_arr[:-1]))
+        if bad.size:
+            raise TraceError(f"time axis must be strictly increasing (at t={self._times[bad[0] + 1]!r})")
+        self._cache: dict[str, np.ndarray] = {"": t_arr}
         self._values: dict[str, list[float]] = {}
         self.kinds: dict[str, str] = {}
         kinds = dict(kinds or {})
@@ -53,13 +69,14 @@ class Trace:
             kind = kinds.get(name, "analog")
             if kind not in KINDS:
                 raise TraceError(f"signal {name!r} has unknown kind {kind!r}")
+            if (i := _first_non_finite(col)) is not None:
+                raise TraceError(f"signal {name!r} has non-finite value {col[i]!r} at t={self._times[i]!r}")
             if kind == "boolean" and any(v not in (0.0, 1.0) for v in col):
                 raise TraceError(f"boolean signal {name!r} carries values outside 0/1")
             self._values[name] = col
             self.kinds[name] = kind
         if not self._values:
             raise TraceError("a trace needs at least one signal")
-        self._cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
 
@@ -106,14 +123,19 @@ class Trace:
         return col[i] + (col[i + 1] - col[i]) * (t - t0) / (t1 - t0)
 
     def append_sample(self, t: float, values: Mapping[str, float]) -> None:
+        if not math.isfinite(t):
+            raise TraceError(f"sample time {t!r} is not finite")
         if t <= self._times[-1]:
             raise TraceError(f"sample time {t!r} not after {self._times[-1]!r}")
         if set(values) != set(self._values):
             raise TraceError("sample carries a different signal set than the trace")
-        for name, v in values.items():
-            v = float(v)
+        row = {name: float(v) for name, v in values.items()}
+        for name, v in row.items():
+            if not math.isfinite(v):
+                raise TraceError(f"signal {name!r} got non-finite value {v!r}")
             if self.kinds[name] == "boolean" and v not in (0.0, 1.0):
                 raise TraceError(f"boolean signal {name!r} got value {v!r}")
+        for name, v in row.items():
             self._values[name].append(v)
         self._times.append(float(t))
         self._cache.clear()

@@ -95,6 +95,21 @@ class TestCheck:
         assert main(["check", str(trace), str(props), "--assert-name", "absent"]) == 2
 
 
+class TestNonFinite:
+    def test_check_nan_trace_exit_two(self, settle_files, tmp_path, capsys):
+        _, props = settle_files
+        bad = tmp_path / "nan.csv"
+        bad.write_text("time,Vout\n0,0\n0.001,nan\n0.002,1.2\n")
+        assert main(["check", str(bad), str(props)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_stream_nan_sample_exit_two(self, settle_files, monkeypatch, capsys):
+        _, props = settle_files
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0 0.0\n0.001 nan\n0.002 1.2\n"))
+        assert main(["stream", str(props), "--signals", "Vout:analog"]) == 2
+        assert "stdin:2" in capsys.readouterr().err
+
+
 class TestStream:
     def run_stream(self, monkeypatch, capsys, props, signals, trace):
         lines = []

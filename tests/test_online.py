@@ -1,17 +1,25 @@
 """Streaming checker tests: incremental verdicts and offline agreement."""
 
+import random
+from dataclasses import replace
+from itertools import accumulate
+
 import pytest
 
+from _corpus import random_property
 from amscheck import (
     Interval,
     IntervalSet,
     ProtocolError,
     Session,
+    Trace,
     assertion_match,
     build_table,
+    depth,
     horizon,
     open_session,
     parse_property,
+    pretty,
     set_union,
 )
 from amscheck.wavegen import fixture_trace
@@ -194,3 +202,85 @@ class TestObligations:
                 if any(o.component.lo <= 0.7 * MS <= o.component.hi for o in obs):
                     fired = True
         assert fired
+
+
+class TestNonFinite:
+    def make(self):
+        p = parse_property("{V(x)>0.5} |-> {V(x)<2};")
+        return Session([p], {"x": "analog"})
+
+    def test_nan_value_rejected(self):
+        s = self.make()
+        s.feed(0.0, {"x": 0.0})
+        s.feed(1.0, {"x": 1.0})
+        with pytest.raises(ProtocolError, match="non-finite"):
+            s.feed(2.0, {"x": float("nan")})
+        # the rejected sample left the session as it was
+        verdicts = s.feed(2.0, {"x": 1.0}) + s.finalize()
+        assert {v.kind for v in verdicts} == {"match", "vacuous-end"}
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        s = self.make()
+        s.feed(0.0, {"x": 0.0})
+        with pytest.raises(ProtocolError, match="non-finite"):
+            s.feed(t, {"x": 1.0})
+
+
+def tiled_trace(rng, names, tile_len, tiles):
+    """A random piecewise-linear tile of ``tile_len`` knots, repeated ``tiles`` times."""
+    steps = [rng.uniform(0.03, 0.12) for _ in range(tile_len)]
+    offsets = [0.0, *accumulate(steps[:-1])]
+    period = sum(steps)
+    vals = {n: [rng.uniform(-1.0, 2.0) for _ in range(tile_len)] for n in names}
+    times = [k * period + off for k in range(tiles) for off in offsets]
+    return Trace(times, {n: v * tiles for n, v in vals.items()})
+
+
+def lookback(p):
+    return depth(p.antecedent) + horizon(p)
+
+
+class TestLongStream:
+    """Streams many lookbacks long, so the session drops old truth runs."""
+
+    NAMES = ["s0", "s1", "s2"]
+
+    def test_agrees_with_offline(self):
+        """Two assertions per session, so the cut follows the slower one."""
+        rng = random.Random(9001)
+        for case in range(8):
+            props = [replace(random_property(rng, self.NAMES), name=f"r{j}") for j in range(2)]
+            longest = max(lookback(p) for p in props)
+            # knots average 0.075 s apart: size the trace to 20 lookbacks
+            tr = tiled_trace(rng, self.NAMES, 40 + int(20 * longest / 0.075), 1)
+            assert tr.domain.hi >= 20 * longest
+            sess = Session(props, self.NAMES)
+            verdicts = stream(sess, tr) + sess.finalize()
+            table = build_table(tr, props)
+            for p in props:
+                rep = assertion_match(p, table)
+                mine = [v for v in verdicts if v.name == p.name]
+                for kind, want in [
+                    ("match", rep.nonvacuous),
+                    ("vacuous-end", rep.vacuous),
+                    ("fail", rep.fail),
+                    ("undetermined", rep.undetermined),
+                ]:
+                    assert union_of(mine, {kind}).approx_eq(want), (case, kind, pretty(p))
+
+    def test_retained_runs_bounded(self):
+        rng = random.Random(77)
+        p = random_property(rng, self.NAMES)
+        while not 0.3 <= lookback(p) <= 1.0:
+            p = random_property(rng, self.NAMES)
+        # the tile spans 1e3 samples, so both probes sit at the same phase
+        tr = tiled_trace(rng, self.NAMES, 1000, 10)
+        assert tr.domain.hi >= 20 * lookback(p)
+        sess = Session([p], self.NAMES)
+        retained = {}
+        for i in range(len(tr)):
+            sess.feed(*tr.sample(i))
+            if i + 1 in (1_000, 10_000):
+                retained[i + 1] = sess.retained_runs()
+        assert 0 < retained[10_000] <= retained[1_000]

@@ -39,6 +39,17 @@ class TestConstruction:
         with pytest.raises(TraceError):
             Trace([0, 1], {"d": [0.0, 0.5]}, kinds={"d": "boolean"})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(TraceError, match="non-finite"):
+            Trace([0, 1, 2, 3], {"x": [0.0, bad, 1.0, 0.0]})
+        with pytest.raises(TraceError, match="non-finite"):
+            Trace([0.0, 1.0, bad], {"x": [0.0, 1.0, 0.0]})
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        tr = Trace([0.0, 1.0], {"x": [1e308, 1e308]})
+        assert tr.value_at("x", 0.5) == 1e308
+
 
 class TestLookup:
     def test_linear_interpolation(self):
@@ -90,8 +101,23 @@ class TestAppend:
         with pytest.raises(TraceError):
             tr.append_sample(3.0, {})
 
+    def test_append_rejects_non_finite(self):
+        tr = Trace([0.0, 1.0], {"v": [0.0, 1.0], "w": [0.0, 1.0]})
+        with pytest.raises(TraceError):
+            tr.append_sample(2.0, {"v": 1.0, "w": float("nan")})
+        with pytest.raises(TraceError):
+            tr.append_sample(float("inf"), {"v": 1.0, "w": 1.0})
+        # a rejected sample leaves the trace untouched
+        assert len(tr) == 2 and len(tr.values("v")) == 2
+
 
 class TestCsv:
+    def test_non_finite_cell_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("time,x\n0,0\n1,nan\n2,1\n")
+        with pytest.raises(TraceError, match="non-finite"):
+            load_csv(str(path))
+
     def test_round_trip(self, tmp_path):
         tr = Trace(
             [0.0, 1e-3, 2e-3],
