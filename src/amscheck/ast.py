@@ -14,11 +14,28 @@ from typing import Optional, Union
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
 from .expr import Expr, expr_signals, render_expr
 
+
+def _node(cls):
+    """A frozen dataclass that keeps its structural hash after first use, as memo
+    lookups are hot; pickles leave it out, since str hashes differ between processes."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = structural(self)
+        return self.__dict__["_hash"]
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = lambda self: {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Boolean layer
 
 
-@dataclass(frozen=True)
+@_node
 class Porv:
     """Predicate over real variables: expr > 0 or expr >= 0."""
 
@@ -29,7 +46,7 @@ class Porv:
         return f"{render_expr(self.expr)} {self.rel} 0"
 
 
-@dataclass(frozen=True)
+@_node
 class BoolSignal:
     """A digital signal used as a proposition (true when it holds 1)."""
 
@@ -39,7 +56,7 @@ class BoolSignal:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class EventAtom:
     """Edge of a predicate's truth: pos (@+), neg (@-) or any (@)."""
 
@@ -51,50 +68,39 @@ class EventAtom:
         return f"@{mark}{{{self.pred}}}"
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     operand: "BExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     """Conjunction of predicates, optionally including one event."""
 
     terms: tuple["BExpr", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "BExpr"
     right: "BExpr"
 
 
-@dataclass(frozen=True)
-class LocalAssign:
-    """Local-variable assignment: recognised syntactically, rejected by
-    validation because no semantics are defined for it here."""
-
-    base: "BExpr"
-    target: str
-    value: Expr
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
-
-
-BExpr = Union[Porv, BoolSignal, EventAtom, Not, And, Or, LocalAssign]
+BExpr = Union[Porv, BoolSignal, EventAtom, Not, And, Or]
 
 
 # ---------------------------------------------------------------------------
 # Sequence layer
 
 
-@dataclass(frozen=True)
+@_node
 class SeqBool:
     """A Boolean expression used as an instantaneous sequence."""
 
     bexpr: BExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Repeat:
     """{seq}[*dur]: seq holds continuously for the trailing ``dur`` seconds."""
 
@@ -103,7 +109,7 @@ class Repeat:
     pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class RepeatUntil:
     """{seq}[*lo:hi] cont: recurrence of ``seq`` handing over to ``cont``."""
 
@@ -114,7 +120,7 @@ class RepeatUntil:
     pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Delay:
     """left ##[lo:hi] right: right's match ends lo..hi after left's."""
 
@@ -128,7 +134,7 @@ class Delay:
 SeqExpr = Union[SeqBool, Repeat, RepeatUntil, Delay]
 
 
-@dataclass(frozen=True)
+@_node
 class Property:
     """antecedent |-> consequent, with an optional leading delay window."""
 
@@ -176,8 +182,6 @@ def _walk_bexpr_atoms(b: BExpr, out: list[Atom]) -> None:
     elif isinstance(b, Or):
         _walk_bexpr_atoms(b.left, out)
         _walk_bexpr_atoms(b.right, out)
-    elif isinstance(b, LocalAssign):
-        _walk_bexpr_atoms(b.base, out)
 
 
 def _walk_seq_atoms(s: SeqExpr, out: list[Atom]) -> None:
@@ -223,11 +227,6 @@ def property_signals(p: Property) -> tuple[str, ...]:
 
 
 def _validate_bexpr(b: BExpr) -> None:
-    if isinstance(b, LocalAssign):
-        raise UnsupportedFeatureError(
-            "local-variable assignment is recognised but has no semantics here"
-            + (f" (at line {b.pos[0]}, col {b.pos[1]})" if b.pos else "")
-        )
     if isinstance(b, And):
         events = [t for t in b.terms if isinstance(t, EventAtom)]
         if len(events) > 1:
@@ -301,8 +300,6 @@ def _pretty_bexpr(b: BExpr, top: bool = False) -> str:
     if isinstance(b, Or):
         s = f"{_pretty_bexpr(b.left, top)} OR {_pretty_bexpr(b.right, top)}"
         return s if top else f"({s})"
-    if isinstance(b, LocalAssign):
-        return f"{_pretty_bexpr(b.base)}, {b.target} = {render_expr(b.value)}"
     raise TypeError(f"not a Boolean expression: {b!r}")
 
 

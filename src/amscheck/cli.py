@@ -12,6 +12,7 @@ IO, parse, or protocol errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -187,23 +188,14 @@ def cmd_oracle(args) -> int:
 def cmd_codegen(args) -> int:
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     cfg = CodegenConfig(
-        assertion_id=args.id,
         time_acc=args.time_acc,
         value_acc=args.value_acc,
         module_name=args.module_name,
         wrap_module=args.module,
     )
-    chunks = []
-    for i, p in enumerate(props):
-        c = cfg if i == 0 else CodegenConfig(
-            assertion_id=args.id + i,
-            time_acc=args.time_acc,
-            value_acc=args.value_acc,
-            module_name=args.module_name,
-            wrap_module=args.module,
-        )
-        chunks.append(generate_monitors(p, c))
-    text = "\n".join(chunks)
+    text = "\n".join(
+        generate_monitors(p, dataclasses.replace(cfg, assertion_id=args.id + i)) for i, p in enumerate(props)
+    )
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

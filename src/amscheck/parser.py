@@ -9,7 +9,7 @@ Accepted surface syntax, in brief:
     unit   :=  atom ( [*a] | [*a:b] unit )*
     atom   :=  { seq }  |  ~{ bexpr }  |  bexpr
     bexpr  :=  conj ( OR conj )*           (also '||')
-    conj   :=  member ( && member )*  [ , name = arith ]
+    conj   :=  member ( && member )*  [ , name = arith ]   (rejected)
     member :=  @edge{ pred }  |  ( bexpr )  |  rel
     rel    :=  arith (> | >= | < | <= | ==) arith  |  boolsig
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
-from .errors import ParseError
+from .errors import ParseError, UnsupportedFeatureError
 from .expr import BinOp, Const, Expr, Neg, SignalRef
 
 #: Half-width of the band an analog equality comparison expands into.
@@ -341,10 +341,8 @@ class _Parser:
         node: ast.BExpr = members[0] if len(members) == 1 else ast.And(tuple(members))
         if self.at(",") and self.at("id", 1) and self.at("=", 2):
             comma = self.take()
-            target = self.take().text
-            self.take()
-            value = self.arith()
-            node = ast.LocalAssign(node, target, value, pos=(comma.line, comma.col))
+            where = f" (at line {comma.line}, col {comma.col})"
+            raise UnsupportedFeatureError("local-variable assignment is recognised but has no semantics here" + where)
         return node
 
     def bexpr(self) -> ast.BExpr:

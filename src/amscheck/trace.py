@@ -3,7 +3,9 @@
 A trace holds one strictly increasing time axis and one value column
 per signal.  Between samples an analog signal is linearly interpolated
 and a boolean signal holds its previous sample, so every signal has a
-well-defined value at every instant of the trace domain.
+well-defined value at every instant of the trace domain.  Each column is
+stored once, as a float64 array copied from the caller's input, and
+``times()`` and ``values()`` return it read-only.
 
 CSV layout::
 
@@ -12,15 +14,19 @@ CSV layout::
     0.0,0.0,0
     1e-4,0.3,1
 
-The ``#kind`` row is optional and defaults every column to analog.
-Other ``#`` lines are comments.
+The header is the first line that is neither blank nor a ``#`` comment.
+The optional ``#kind`` row must come before the data and defaults every
+column to analog.  ``np.loadtxt`` parses the data rows: comma-separated
+numbers with optional surrounding whitespace, one per header column;
+``#`` starts a comment and blank lines are skipped.  Quoted cells,
+``1_0`` digit separators and non-ASCII digits are rejected.  A malformed
+row raises ``TraceError`` naming its line.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from bisect import bisect_right
+from itertools import chain, islice
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,14 +37,11 @@ from .intervals import Interval
 KINDS = ("analog", "boolean")
 
 
-def _first_non_finite(values: list[float]) -> int | None:
-    """Index of the first nan or inf in ``values``, or None."""
-    # a nan or inf anywhere makes the sum non-finite, and summing a list of
-    # floats costs less than converting it to an array
-    if math.isfinite(sum(values)):
-        return None
-    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
-    return int(bad[0]) if bad.size else None
+def _column(values: Iterable[float]) -> np.ndarray:
+    """A fresh read-only contiguous float64 copy of ``values``."""
+    col = np.array(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
+    col.flags.writeable = False
+    return col
 
 
 class Trace:
@@ -48,144 +51,155 @@ class Trace:
         signals: Mapping[str, Iterable[float]],
         kinds: Mapping[str, str] | None = None,
     ):
-        self._times = [float(t) for t in times]
-        if len(self._times) < 2:
+        t = self._times = _column(times)
+        if t.shape[0] < 2:
             raise TraceError("a trace needs at least two samples")
-        if (i := _first_non_finite(self._times)) is not None:
-            raise TraceError(f"time axis has non-finite value {self._times[i]!r} at sample {i}")
-        # the array built for this check is the one times() returns
-        t_arr = np.asarray(self._times, dtype=float)
-        bad = np.flatnonzero(~(t_arr[1:] > t_arr[:-1]))
-        if bad.size:
-            raise TraceError(f"time axis must be strictly increasing (at t={self._times[bad[0] + 1]!r})")
-        self._cache: dict[str, np.ndarray] = {"": t_arr}
-        self._values: dict[str, list[float]] = {}
+        if not (finite := np.isfinite(t)).all():
+            i = int(finite.argmin())
+            raise TraceError(f"time axis has non-finite value {t.item(i)!r} at sample {i}")
+        if not (rising := t[1:] > t[:-1]).all():
+            raise TraceError(f"time axis must be strictly increasing (at t={t.item(int(rising.argmin()) + 1)!r})")
+        self._columns: dict[str, np.ndarray] = {}
         self.kinds: dict[str, str] = {}
-        kinds = dict(kinds or {})
         for name, column in signals.items():
-            col = [float(v) for v in column]
-            if len(col) != len(self._times):
-                raise TraceError(f"signal {name!r} has {len(col)} samples, expected {len(self._times)}")
-            kind = kinds.get(name, "analog")
+            col = _column(column)
+            if col.shape != t.shape:
+                raise TraceError(f"signal {name!r} has {col.size} samples, expected {t.size}")
+            kind = (kinds or {}).get(name, "analog")
             if kind not in KINDS:
                 raise TraceError(f"signal {name!r} has unknown kind {kind!r}")
-            if (i := _first_non_finite(col)) is not None:
-                raise TraceError(f"signal {name!r} has non-finite value {col[i]!r} at t={self._times[i]!r}")
-            if kind == "boolean" and any(v not in (0.0, 1.0) for v in col):
+            if not (finite := np.isfinite(col)).all():
+                i = int(finite.argmin())
+                raise TraceError(f"signal {name!r} has non-finite value {col.item(i)!r} at t={t.item(i)!r}")
+            if kind == "boolean" and np.any((col != 0.0) & (col != 1.0)):
                 raise TraceError(f"boolean signal {name!r} carries values outside 0/1")
-            self._values[name] = col
+            self._columns[name] = col
             self.kinds[name] = kind
-        if not self._values:
+        if not self._columns:
             raise TraceError("a trace needs at least one signal")
 
     # ------------------------------------------------------------------
 
     @property
     def signals(self) -> tuple[str, ...]:
-        return tuple(self._values)
+        return tuple(self._columns)
 
     @property
     def domain(self) -> Interval:
-        return Interval(self._times[0], self._times[-1])
+        return Interval(self._times.item(0), self._times.item(-1))
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._times.shape[0]
 
     def times(self) -> np.ndarray:
-        if "" not in self._cache:
-            self._cache[""] = np.asarray(self._times, dtype=float)
-        return self._cache[""]
+        return self._times
 
     def values(self, name: str) -> np.ndarray:
-        if name not in self._values:
+        if name not in self._columns:
             raise UnknownSignalError(f"trace has no signal {name!r}")
-        if name not in self._cache:
-            self._cache[name] = np.asarray(self._values[name], dtype=float)
-        return self._cache[name]
+        return self._columns[name]
 
     def sample(self, i: int) -> tuple[float, dict[str, float]]:
-        return self._times[i], {n: col[i] for n, col in self._values.items()}
+        return self._times.item(i), {n: col.item(i) for n, col in self._columns.items()}
 
     def value_at(self, name: str, t: float) -> float:
         """Interpolated (analog) or held (boolean) value at time ``t``."""
-        if name not in self._values:
-            raise UnknownSignalError(f"trace has no signal {name!r}")
-        ts = self._times
-        if t < ts[0] or t > ts[-1]:
-            raise TraceError(f"t={t!r} outside trace domain [{ts[0]!r}:{ts[-1]!r}]")
-        col = self._values[name]
-        i = bisect_right(ts, t) - 1
+        col, ts = self.values(name), self._times
+        if t < ts.item(0) or t > ts.item(-1):
+            raise TraceError(f"t={t!r} outside trace domain [{ts.item(0)!r}:{ts.item(-1)!r}]")
+        i = int(ts.searchsorted(t, side="right")) - 1
         if i >= len(ts) - 1:
-            return col[-1]
-        if self.kinds[name] == "boolean" or t == ts[i]:
-            return col[i]
-        t0, t1 = ts[i], ts[i + 1]
-        return col[i] + (col[i + 1] - col[i]) * (t - t0) / (t1 - t0)
+            return col.item(-1)
+        t0, v0 = ts.item(i), col.item(i)
+        if self.kinds[name] == "boolean" or t == t0:
+            return v0
+        t1, v1 = ts.item(i + 1), col.item(i + 1)
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def append_sample(self, t: float, values: Mapping[str, float]) -> None:
-        if not math.isfinite(t):
+        t = float(t)
+        if not np.isfinite(t):
             raise TraceError(f"sample time {t!r} is not finite")
-        if t <= self._times[-1]:
-            raise TraceError(f"sample time {t!r} not after {self._times[-1]!r}")
-        if set(values) != set(self._values):
+        if t <= self._times.item(-1):
+            raise TraceError(f"sample time {t!r} not after {self._times.item(-1)!r}")
+        if set(values) != set(self._columns):
             raise TraceError("sample carries a different signal set than the trace")
         row = {name: float(v) for name, v in values.items()}
         for name, v in row.items():
-            if not math.isfinite(v):
+            if not np.isfinite(v):
                 raise TraceError(f"signal {name!r} got non-finite value {v!r}")
             if self.kinds[name] == "boolean" and v not in (0.0, 1.0):
                 raise TraceError(f"boolean signal {name!r} got value {v!r}")
         for name, v in row.items():
-            self._values[name].append(v)
-        self._times.append(float(t))
-        self._cache.clear()
+            self._columns[name] = _column(np.append(self._columns[name], v))
+        self._times = _column(np.append(self._times, t))
 
 
-def load_csv(path: str) -> Trace:
-    times: list[float] = []
-    columns: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        kinds: dict[str, str] = {}
-        names: list[str] = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+def _read_rows(lines: Iterable[str], width: int) -> np.ndarray | None:
+    """``lines`` as an (n, width) float64 array, or None if np.loadtxt rejects them."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == width else None
+
+
+def _checked_rows(path, lines: Iterable[str], first: int, width: int) -> np.ndarray:
+    """Parse data lines numbered from ``first`` after dropping blank and
+    comment lines; raise TraceError naming the first line that cannot be read."""
+    kept, linenos = [], []
+    for lineno, line in enumerate(lines, start=first):
+        if line.split(",", 1)[0].strip() == "#kind":
+            raise TraceError(f"{path}:{lineno}: #kind row after the first data row")
+        if (body := line.split("#", 1)[0]).strip():
+            kept.append(body)
+            linenos.append(lineno)
+    if (rows := _read_rows(kept, width)) is not None:
+        return rows
+    lo, hi = 0, len(kept)  # kept[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _read_rows(kept[lo:mid], width) is None else (mid, hi)
+    cells = kept[lo].split(",")
+    if len(cells) != width:
+        raise TraceError(f"{path}:{linenos[lo]}: expected {width} fields, got {len(cells)}")
+    bad = next(c.strip() for c in cells if not c.strip() or _read_rows([c], 1) is None)
+    raise TraceError(f"{path}:{linenos[lo]}: could not convert string to float: {bad!r}")
+
+
+def load_csv(path) -> Trace:
+    header: list[str] | None = None
+    kinds: dict[str, str] = {}
+    first_data: int | None = None  # line number of the first data row
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
+            if row == [""] or (header is None and row[0].startswith("#")):
                 continue
-            first = row[0].strip()
             if header is None:
-                if first.startswith("#"):
-                    continue
-                header = [c.strip() for c in row]
-                if not header or header[0] != "time" or len(header) < 2:
+                header = row
+                if header[0] != "time" or len(header) < 2:
                     raise TraceError(f"{path}:{lineno}: header must be 'time,<signal>,...'")
-                names = header[1:]
-                if len(set(names)) != len(names):
+                if len(set(header[1:])) != len(header) - 1:
                     raise TraceError(f"{path}:{lineno}: duplicate signal names")
-                columns = [[] for _ in names]
-                continue
-            if first == "#kind":
+            elif row[0] == "#kind":
                 if len(row) != len(header):
                     raise TraceError(f"{path}:{lineno}: #kind row arity mismatch")
-                for name, kind in zip(names, row[1:]):
-                    kinds[name] = kind.strip()
-                continue
-            if first.startswith("#"):
-                continue
-            if len(row) != len(header):
-                raise TraceError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from None
-            times.append(values[0])
-            for col, v in zip(columns, values[1:]):
-                col.append(v)
+                kinds = dict(zip(header[1:], row[1:]))
+            elif not row[0].startswith("#"):
+                # numpy parses this row and every row after it in one call
+                first_data = lineno
+                data = _read_rows(chain([line], fh), len(header))
+                break
     if header is None:
         raise TraceError(f"{path}: no header row")
-    return Trace(times, dict(zip(names, columns)), kinds)
+    if first_data is None:
+        data = np.empty((0, len(header)))
+    elif data is None:
+        # comment, whitespace-only or malformed lines among the data rows
+        with open(path) as fh:
+            data = _checked_rows(path, islice(fh, first_data - 1, None), first_data, len(header))
+    return Trace(data[:, 0], {name: data[:, j] for j, name in enumerate(header[1:], 1)}, kinds)
 
 
 def save_csv(trace: Trace, path: str) -> None:
@@ -195,6 +209,5 @@ def save_csv(trace: Trace, path: str) -> None:
         writer.writerow(["time", *names])
         if any(trace.kinds[n] == "boolean" for n in names):
             writer.writerow(["#kind", *(trace.kinds[n] for n in names)])
-        cols = [trace.values(n) for n in names]
-        for i, t in enumerate(trace.times()):
-            writer.writerow([repr(float(t)), *(repr(float(c[i])) for c in cols)])
+        rows = zip(trace.times().tolist(), *(trace.values(n).tolist() for n in names))
+        writer.writerows(map(repr, row) for row in rows)

@@ -113,16 +113,16 @@ def generate(spec: dict) -> Trace:
     if t_end is not None:
         all_times = [t for t in all_times if t <= float(t_end) + 1e-15]
     times = np.asarray(all_times, dtype=float)
-    columns: dict[str, list[float]] = {}
+    columns: dict[str, np.ndarray] = {}
     for name, pts in knots.items():
         kt = np.asarray([t for t, _ in pts])
         kv = np.asarray([v for _, v in pts])
         if kinds[name] == "analog":
-            columns[name] = list(np.interp(times, kt, kv))
+            columns[name] = np.interp(times, kt, kv)
         else:
             idx = np.clip(np.searchsorted(kt, times, side="right") - 1, 0, len(kv) - 1)
-            columns[name] = list(kv[idx])
-    return Trace(list(times), columns, kinds)
+            columns[name] = kv[idx]
+    return Trace(times, columns, kinds)
 
 
 def load_spec(path: str) -> dict:

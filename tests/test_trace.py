@@ -1,9 +1,12 @@
 """Trace container, interpolation, and CSV round-trip tests."""
 
+import csv
+import pathlib
+
 import numpy as np
 import pytest
 
-from amscheck import Trace, TraceError, UnknownSignalError, load_csv, save_csv
+from amscheck import Trace, TraceError, UnknownSignalError, build_table, load_csv, parse_property, save_csv
 from amscheck.wavegen import fixture_trace
 
 
@@ -111,6 +114,28 @@ class TestAppend:
         assert len(tr) == 2 and len(tr.values("v")) == 2
 
 
+class TestReadOnly:
+    def test_columns_cannot_be_written(self):
+        tr = Trace([0.0, 1.0, 2.0, 3.0], {"x": [0.0, 1.0, 0.0, 1.0]})
+        prop = parse_property("{V(x)>0.5} |-> {V(x)<2};")
+        before = build_table(tr, prop).get(prop.antecedent.bexpr)
+        with pytest.raises(ValueError):
+            tr.values("x")[1] = 5.0
+        with pytest.raises(ValueError):
+            tr.times()[0] = -1.0
+        assert tr.values("x").tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert build_table(tr, prop).get(prop.antecedent.bexpr) == before
+
+    def test_input_is_copied(self):
+        t, x = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        tr = Trace(t, {"x": x})
+        x[0] = 7.0
+        t[1] = 9.0
+        assert tr.values("x").tolist() == [0.0, 1.0]
+        assert tr.domain.hi == 1.0
+        assert tr.values("x").flags.c_contiguous
+
+
 class TestCsv:
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -141,6 +166,134 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(TraceError):
             load_csv(path)
+
+
+def write_bytes(tmp_path, text: str) -> pathlib.Path:
+    """Write ``text`` verbatim, so CRLF line endings reach the reader."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestCsvDialect:
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("time,x\n0,1\n1,2,3\n", 3),  # too many fields
+            ("time,x,y\n0,1,2\n\n# note\n1,2\n", 5),  # too few fields
+            ("time,x\n0,1\n1,abc\n", 3),  # non-numeric cell
+            ("time,x\n0,1\n1,\n", 3),  # empty cell
+            ("time,x,y\n0,,2\n", 2),  # empty cell in the middle
+            ("time,x\n0,1\n1,--1\n", 3),  # malformed number
+            ("time,x\n#kind,analog,boolean\n0,1\n1,2\n", 2),  # #kind arity
+            ("# header follows\ntime,x,x\n0,1,2\n1,2,3\n", 2),  # duplicate names
+            ("\nt,x\n0,1\n1,2\n", 2),  # first column is not time
+            ("time\n0\n1\n", 1),  # no signal column
+        ],
+    )
+    def test_malformed_input_names_its_line(self, tmp_path, text, lineno):
+        path = write_bytes(tmp_path, text)
+        with pytest.raises(TraceError, match=f":{lineno}:"):
+            load_csv(path)
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        text = (
+            "# exported by a simulator\n\ntime,x,d\n# units: s, V\n#kind,analog,boolean\n\n"
+            "0,0.5,0\n# a comment between rows\n\n  \n   # an indented comment\n1,1.5,1\n2,2.5,0\n\n"
+        )
+        tr = load_csv(write_bytes(tmp_path, text))
+        assert tr.times().tolist() == [0.0, 1.0, 2.0]
+        assert tr.values("x").tolist() == [0.5, 1.5, 2.5]
+        assert tr.values("d").tolist() == [0.0, 1.0, 0.0]
+        assert tr.kinds == {"x": "analog", "d": "boolean"}
+
+    def test_crlf_and_padded_cells(self, tmp_path):
+        tr = load_csv(write_bytes(tmp_path, "time, x\r\n#kind, analog\r\n0, 1.5 \r\n1,\t2e-3\r\n"))
+        assert tr.signals == ("x",)
+        assert tr.values("x").tolist() == [1.5, 2e-3]
+
+    def test_path_and_str_arguments(self, tmp_path):
+        path = write_bytes(tmp_path, "time,x\n0,1\n1,2\n")
+        assert isinstance(path, pathlib.Path)
+        assert load_csv(path).values("x").tolist() == load_csv(str(path)).values("x").tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ('time,x\n0,1\n"1",2\n', 3),  # quoted cell
+            ("time,x\n0,1\n1,1_0\n", 3),  # digit separator
+            ("time,x\n0,1\n#kind,boolean\n1,0\n", 3),  # #kind row after the data started
+        ],
+    )
+    def test_inputs_outside_the_dialect_rejected(self, tmp_path, text, lineno):
+        with pytest.raises(TraceError, match=f":{lineno}:"):
+            load_csv(write_bytes(tmp_path, text))
+
+    @pytest.mark.parametrize("bad_line", [2, 3, 500, 777, 1002])
+    def test_first_bad_line_found_in_long_file(self, tmp_path, bad_line):
+        lines = ["time,x"] + [f"{i},{i % 7}" for i in range(1000)] + ["# end"]
+        lines.insert(400, "# a comment shifts the line numbers")
+        lines[bad_line - 1] = "oops,1"
+        lines.append("1e9,1,2")  # a later bad line is not reported
+        with pytest.raises(TraceError, match=f":{bad_line}: could not convert"):
+            load_csv(write_bytes(tmp_path, "\n".join(lines) + "\n"))
+
+
+def reference_read(path):
+    """The CSV dialect read with csv.reader and float(): (times, {name: column}, kinds)."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and r[0].strip()]
+    header = [c.strip() for c in rows[0]]
+    kinds = {n: k.strip() for r in rows if r[0].strip() == "#kind" for n, k in zip(header[1:], r[1:])}
+    data = [[float(c) for c in r] for r in rows[1:] if not r[0].strip().startswith("#")]
+    cols = [np.array(c) for c in zip(*data)]
+    return cols[0], dict(zip(header[1:], cols[1:])), kinds
+
+
+def random_columns(rng):
+    n = int(rng.integers(2, 300))
+    times = np.cumsum(rng.uniform(0.1, 10.0, n) * 10.0 ** rng.integers(-15, 4))
+    cols = {
+        "wide": rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n),
+        "tiny": rng.integers(-(10**6), 10**6, n) * 5e-324,  # subnormals
+        "ints": rng.integers(-1000, 1000, n).astype(float),
+        "bit": rng.integers(0, 2, n).astype(float),
+    }
+    cols["wide"][rng.integers(0, n)] = -0.0
+    return times, cols
+
+
+class TestCsvDifferential:
+    """load_csv must read back exactly what a plain csv.reader/float() reader reads."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_save_csv_files(self, tmp_path, seed):
+        times, cols = random_columns(np.random.default_rng(seed))
+        path = tmp_path / "t.csv"
+        save_csv(Trace(times, cols, kinds={"bit": "boolean"}), path)
+        self.assert_same(path)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("fmt", [repr, "{:.17g}".format, "{:.6e}".format, "{:.9g}".format])
+    def test_hand_written_files(self, tmp_path, seed, fmt):
+        times, cols = random_columns(np.random.default_rng(100 + seed))
+        lines = ["time," + ",".join(cols), "# a comment", "#kind,analog,analog,analog,boolean"]
+        for i, t in enumerate(times.tolist()):
+            lines.append(",".join(fmt(v) for v in [t, *(c[i].item() for c in cols.values())]))
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_same(path)
+
+    @staticmethod
+    def assert_same(path):
+        times, cols, kinds = reference_read(path)
+        tr = load_csv(path)
+        assert tr.times().tobytes() == times.tobytes()
+        assert tr.signals == tuple(cols)
+        for name, col in cols.items():
+            assert tr.values(name).dtype == np.float64
+            assert tr.values(name).tobytes() == col.tobytes(), name
+            assert tr.kinds[name] == kinds.get(name, "analog")
 
 
 class TestFixtureWaveform:
