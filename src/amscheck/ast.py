@@ -9,10 +9,10 @@ here as ``expr > 0`` or ``expr >= 0``, possibly under a negation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
-from .expr import Expr, expr_signals, render_expr
+from .expr import Expr, expr_signals, format_number, render_expr
 
 
 def _node(cls):
@@ -145,6 +145,8 @@ class Property:
 
 
 Atom = Union[Porv, BoolSignal, EventAtom]
+ATOMS = (Porv, BoolSignal, EventAtom)
+SEQS = (SeqBool, Repeat, RepeatUntil, Delay)
 
 
 # ---------------------------------------------------------------------------
@@ -170,39 +172,39 @@ def horizon(p: Property) -> float:
     return extra + depth(p.consequent)
 
 
-def _walk_bexpr_atoms(b: BExpr, out: list[Atom]) -> None:
-    if isinstance(b, (Porv, BoolSignal, EventAtom)):
-        if b not in out:
-            out.append(b)
-    elif isinstance(b, Not):
-        _walk_bexpr_atoms(b.operand, out)
-    elif isinstance(b, And):
-        for t in b.terms:
-            _walk_bexpr_atoms(t, out)
-    elif isinstance(b, Or):
-        _walk_bexpr_atoms(b.left, out)
-        _walk_bexpr_atoms(b.right, out)
+def children(node) -> tuple:
+    """Direct sub-nodes in source order; atoms, events included, are leaves."""
+    if isinstance(node, ATOMS):
+        return ()
+    if isinstance(node, Not):
+        return (node.operand,)
+    if isinstance(node, And):
+        return node.terms
+    if isinstance(node, (Or, Delay)):
+        return (node.left, node.right)
+    if isinstance(node, SeqBool):
+        return (node.bexpr,)
+    if isinstance(node, Repeat):
+        return (node.seq,)
+    if isinstance(node, RepeatUntil):
+        return (node.seq, node.cont)
+    if isinstance(node, Property):
+        return (node.antecedent, node.consequent)
+    raise TypeError(f"not a property node: {node!r}")
 
 
-def _walk_seq_atoms(s: SeqExpr, out: list[Atom]) -> None:
-    if isinstance(s, SeqBool):
-        _walk_bexpr_atoms(s.bexpr, out)
-    elif isinstance(s, Repeat):
-        _walk_seq_atoms(s.seq, out)
-    elif isinstance(s, RepeatUntil):
-        _walk_seq_atoms(s.seq, out)
-        _walk_seq_atoms(s.cont, out)
-    elif isinstance(s, Delay):
-        _walk_seq_atoms(s.left, out)
-        _walk_seq_atoms(s.right, out)
+def iter_nodes(node) -> Iterator:
+    """``node`` and every node below it, pre-order, in source order."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
 
 
 def collect_atoms(p: Property) -> tuple[Atom, ...]:
     """Deduplicated leaf atoms in source order, antecedent first."""
-    out: list[Atom] = []
-    _walk_seq_atoms(p.antecedent, out)
-    _walk_seq_atoms(p.consequent, out)
-    return tuple(out)
+    return tuple(dict.fromkeys(n for n in iter_nodes(p) if isinstance(n, ATOMS)))
 
 
 def atom_signals(atom: Atom) -> tuple[str, ...]:
@@ -214,64 +216,41 @@ def atom_signals(atom: Atom) -> tuple[str, ...]:
 
 
 def property_signals(p: Property) -> tuple[str, ...]:
-    out: list[str] = []
-    for atom in collect_atoms(p):
-        for name in atom_signals(atom):
-            if name not in out:
-                out.append(name)
-    return tuple(out)
+    return tuple(dict.fromkeys(name for atom in collect_atoms(p) for name in atom_signals(atom)))
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def _validate_bexpr(b: BExpr) -> None:
-    if isinstance(b, And):
-        events = [t for t in b.terms if isinstance(t, EventAtom)]
-        if len(events) > 1:
-            raise UnsupportedFeatureError("at most one event per conjunct")
-        for t in b.terms:
-            _validate_bexpr(t)
-    elif isinstance(b, Or):
-        _validate_bexpr(b.left)
-        _validate_bexpr(b.right)
-    elif isinstance(b, Not):
-        _validate_bexpr(b.operand)
-
-
 def _fmt_pos(pos: Optional[tuple[int, int]]) -> str:
     return f" (at line {pos[0]}, col {pos[1]})" if pos else ""
 
 
-def _validate_seq(s: SeqExpr) -> None:
-    if isinstance(s, SeqBool):
-        _validate_bexpr(s.bexpr)
-    elif isinstance(s, Repeat):
-        if s.dur <= 0:
+def _check_node(n) -> None:
+    if isinstance(n, And):
+        if sum(isinstance(t, EventAtom) for t in n.terms) > 1:
+            raise UnsupportedFeatureError("at most one event per conjunct")
+    elif isinstance(n, Repeat):
+        if n.dur <= 0:
             raise RecurrenceError(
-                f"recurrence [*{s.dur:g}] needs a positive duration{_fmt_pos(s.pos)}"
+                f"recurrence [*{n.dur:g}] needs a positive duration{_fmt_pos(n.pos)}"
             )
-        _validate_seq(s.seq)
-    elif isinstance(s, (RepeatUntil, Delay)):
-        if s.lo < 0 or s.hi < s.lo:
-            raise BoundError(f"bounds [{s.lo:g}:{s.hi:g}] need 0 <= a <= b{_fmt_pos(s.pos)}")
-        if isinstance(s, RepeatUntil):
-            _validate_seq(s.seq)
-            _validate_seq(s.cont)
-        else:
-            _validate_seq(s.left)
-            _validate_seq(s.right)
+    elif isinstance(n, (RepeatUntil, Delay)):
+        if n.lo < 0 or n.hi < n.lo:
+            raise BoundError(f"bounds [{n.lo:g}:{n.hi:g}] need 0 <= a <= b{_fmt_pos(n.pos)}")
 
 
 def validate(p: Property) -> Property:
     """Check structural rules; returns ``p`` unchanged on success."""
-    _validate_seq(p.antecedent)
+    for n in iter_nodes(p.antecedent):
+        _check_node(n)
     if p.delay is not None:
         a, b = p.delay
         if a < 0 or b < a:
             raise BoundError(f"bounds [{a:g}:{b:g}] need 0 <= a <= b")
-    _validate_seq(p.consequent)
+    for n in iter_nodes(p.consequent):
+        _check_node(n)
     return p
 
 
@@ -311,6 +290,10 @@ def _braced_seq(s: SeqExpr) -> str:
     return f"{{{_pretty_seq(s)}}}"
 
 
+def _window(lo: float, hi: float) -> str:
+    return f"{format_number(lo)}:{format_number(hi)}"
+
+
 def _pretty_seq(s: SeqExpr) -> str:
     if isinstance(s, SeqBool):
         b = s.bexpr
@@ -320,18 +303,18 @@ def _pretty_seq(s: SeqExpr) -> str:
             return f"~{{{_pretty_bexpr(b.operand, top=True)}}}"
         return f"{{{_pretty_bexpr(b, top=True)}}}"
     if isinstance(s, Repeat):
-        return f"{_braced_seq(s.seq)}[*{s.dur:g}]"
+        return f"{_braced_seq(s.seq)}[*{format_number(s.dur)}]"
     if isinstance(s, RepeatUntil):
         # a trailing delay chain in the continuation must be braced, or a
         # reparse would bind it outside the recurrence
         cont = _braced_seq(s.cont) if isinstance(s.cont, Delay) else _pretty_seq(s.cont)
-        return f"{_braced_seq(s.seq)}[*{s.lo:g}:{s.hi:g}] {cont}"
+        return f"{_braced_seq(s.seq)}[*{_window(s.lo, s.hi)}] {cont}"
     if isinstance(s, Delay):
         right = _braced_seq(s.right) if isinstance(s.right, Delay) else _pretty_seq(s.right)
-        return f"{_pretty_seq(s.left)} ##[{s.lo:g}:{s.hi:g}] {right}"
+        return f"{_pretty_seq(s.left)} ##[{_window(s.lo, s.hi)}] {right}"
     raise TypeError(f"not a sequence expression: {s!r}")
 
 
 def pretty(p: Property) -> str:
-    delay = f"##[{p.delay[0]:g}:{p.delay[1]:g}] " if p.delay else ""
+    delay = f"##[{_window(*p.delay)}] " if p.delay else ""
     return f"{_pretty_seq(p.antecedent)} |-> {delay}{_pretty_seq(p.consequent)};"

@@ -256,12 +256,16 @@ def event_truth(trace: Trace, event: ast.EventAtom, eps: float = TIME_TOL) -> In
 
 
 class AtomTable:
-    """Truth sets for every leaf atom of a property group, plus the domain."""
+    """Truth sets for every leaf atom of a property group, plus the domain.
+
+    ``sets`` is kept as given, not copied, so a dict that builds its
+    entries in ``__missing__`` stays lazy.
+    """
 
     def __init__(self, domain: Interval, sets: dict[ast.Atom, IntervalSet], eps: float = TIME_TOL):
         self.domain = domain
         self.eps = eps
-        self._sets = dict(sets)
+        self._sets = sets
 
     def get(self, atom: ast.Atom) -> IntervalSet:
         try:
@@ -281,11 +285,7 @@ def build_table(
     """Evaluate every atom of the given properties over the trace."""
     if isinstance(props, ast.Property):
         props = [props]
-    atoms: list[ast.Atom] = []
-    for p in props:
-        for a in ast.collect_atoms(p):
-            if a not in atoms:
-                atoms.append(a)
+    atoms = dict.fromkeys(a for p in props for a in ast.collect_atoms(p))
     base_cache: dict[ast.Atom, list[Interval]] = {}
 
     def base_components(pred) -> list[Interval]:

@@ -34,17 +34,16 @@ def _pointwise(b: ast.BExpr, env: dict[str, float]) -> bool:
 
 
 def _pred_signals(b: ast.BExpr) -> set[str]:
-    if isinstance(b, ast.Porv):
-        return set(expr_signals(b.expr))
-    if isinstance(b, ast.BoolSignal):
-        return {b.name}
-    if isinstance(b, ast.Not):
-        return _pred_signals(b.operand)
-    if isinstance(b, ast.And):
-        return set().union(*(_pred_signals(t) for t in b.terms))
-    if isinstance(b, ast.Or):
-        return _pred_signals(b.left) | _pred_signals(b.right)
-    raise AmscheckError(f"clocked sampling cannot evaluate {type(b).__name__}")
+    out: set[str] = set()
+    for n in ast.iter_nodes(b):
+        # _pointwise can short-circuit past an event, so reject it up front
+        if isinstance(n, ast.EventAtom):
+            raise AmscheckError("clocked sampling cannot evaluate EventAtom")
+        if isinstance(n, ast.Porv):
+            out.update(expr_signals(n.expr))
+        elif isinstance(n, ast.BoolSignal):
+            out.add(n.name)
+    return out
 
 
 def sample_on_clock(trace: Trace, b: ast.BExpr, period: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .errors import CodegenError
-from .expr import render_expr
+from .expr import format_number, render_expr
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def _fmt_acc(v: float) -> str:
     mant = v / 10.0**exp
     if abs(mant - 1.0) < 1e-9:
         return f"1e{exp}" if exp != 0 else "1"
-    return f"{v:g}".replace("e-0", "e-").replace("e+0", "e+")
+    return format_number(v)
 
 
 def _cross_expr(e) -> str:
@@ -60,26 +60,8 @@ class _Unit:
 
 def collect_units(p: ast.Property) -> list[_Unit]:
     """Monitor units in source order: events singly, conjuncts grouped."""
-    units: list[_Unit] = []
-
-    def add(b: ast.BExpr) -> None:
-        units.append(_Unit(len(units), b))
-
-    def walk_seq(s: ast.SeqExpr) -> None:
-        if isinstance(s, ast.SeqBool):
-            add(s.bexpr)
-        elif isinstance(s, ast.Repeat):
-            walk_seq(s.seq)
-        elif isinstance(s, ast.RepeatUntil):
-            walk_seq(s.seq)
-            walk_seq(s.cont)
-        elif isinstance(s, ast.Delay):
-            walk_seq(s.left)
-            walk_seq(s.right)
-
-    walk_seq(p.antecedent)
-    walk_seq(p.consequent)
-    return units
+    seqs = (n for n in ast.iter_nodes(p) if isinstance(n, ast.SeqBool))
+    return [_Unit(i, s.bexpr) for i, s in enumerate(seqs)]
 
 
 def _member_blocks(member: ast.BExpr, flag: str, cfg: CodegenConfig) -> list[str]:

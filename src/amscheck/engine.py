@@ -1,4 +1,4 @@
-"""Match computation for sequence properties over dense time.
+"""Match computation and verdict partition for sequence properties over dense time.
 
 Works entirely on interval sets: each combinator rule is applied per
 convex component and the results are unioned, which is exact for
@@ -10,6 +10,13 @@ End matches look backward: whether a sequence ends its match at t
 depends only on the trace up to t.  Begin matches are computed with an
 explicit restriction set giving the admissible end instants, threaded
 through the recursion.
+
+`classify` is the one place that partitions time into verdicts: match
+(the antecedent ends and the consequent follows), vacuous (no
+antecedent match), fail, and undetermined (a failure within the
+horizon of the domain end).  Offline checking classifies the whole
+trace domain; a streaming session classifies the window it is about to
+decide, over its retained sub-domain.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ def begin_match(s: ast.SeqExpr, restrict: IntervalSet, tab: AtomTable) -> Interv
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Verdict partition of the trace domain for one assertion."""
+    """Verdict partition of the trace domain, or of one window of it, for one assertion."""
 
     name: str
     domain: Interval
@@ -135,35 +142,34 @@ class MatchReport:
         return self.fail.is_empty
 
 
-def undetermined_region(domain: Interval, hor: float, eps: float) -> IntervalSet:
-    """Instants whose verdict could still flip with more trace."""
-    tail = Interval(domain.hi - hor, domain.hi, False, True).intersect(domain)
-    if tail.is_empty:
-        return IntervalSet([], eps)
-    return IntervalSet([tail], eps)
+def classify(ev: _Evaluator, p: ast.Property, name: str, within: Interval) -> MatchReport:
+    """Partition ``within``, a sub-interval of the evaluator's domain, into verdicts.
+
+    An instant is undetermined when it lies within the horizon of the
+    domain end: more trace could still turn its failure into a match.
+    """
+    eps, domain = ev.eps, ev.domain
+    em = ev.end(p.antecedent)
+    if within != domain:
+        em = set_intersect(em, IntervalSet([within], eps), eps)
+    bm = ev.begin(p.consequent, ev.dom_set)
+    if p.delay is not None:
+        lo, hi = p.delay
+        bm = ev._clip(minkowski_diff_set(bm, lo, hi, eps))
+    matched = set_intersect(em, bm, eps)
+    vac = set_complement(em, within, eps)
+    fail = set_complement(set_union(matched, vac, eps), within, eps)
+    und = IntervalSet((), eps)
+    hor = ast.horizon(p)
+    tail = Interval(domain.hi - hor, domain.hi, False, True).intersect(within)
+    if not tail.is_empty:
+        tail_set = IntervalSet([tail], eps)
+        und = set_intersect(fail, tail_set, eps)
+        fail = set_difference(fail, tail_set, within, eps)
+    return MatchReport(name, within, matched, vac, fail, und, hor)
 
 
 def assertion_match(p: ast.Property, tab: AtomTable, name: str | None = None) -> MatchReport:
     """Classify every instant of the domain for one property."""
-    ev = _Evaluator(tab)
-    em_ante = ev.end(p.antecedent)
-    bm_cons = ev.begin(p.consequent, ev.dom_set)
-    if p.delay is not None:
-        lo, hi = p.delay
-        bm_cons = ev._clip(minkowski_diff_set(bm_cons, lo, hi, ev.eps))
-    matched = set_intersect(em_ante, bm_cons, ev.eps)
-    vac = set_complement(em_ante, tab.domain, ev.eps)
-    fail_all = set_complement(set_union(matched, vac, ev.eps), tab.domain, ev.eps)
-    hor = ast.horizon(p)
-    und_region = undetermined_region(tab.domain, hor, ev.eps)
-    und = set_intersect(fail_all, und_region, ev.eps)
-    fail = set_difference(fail_all, und_region, tab.domain, ev.eps)
-    return MatchReport(
-        name=name if name is not None else (p.name or "assertion"),
-        domain=tab.domain,
-        nonvacuous=matched,
-        vacuous=vac,
-        fail=fail,
-        undetermined=und,
-        horizon=hor,
-    )
+    name = name if name is not None else (p.name or "assertion")
+    return classify(_Evaluator(tab), p, name, tab.domain)

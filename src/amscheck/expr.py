@@ -99,6 +99,15 @@ def is_affine(e: Expr) -> bool:
     return False
 
 
+def format_number(v: float) -> str:
+    """Source literal for ``v``: ``:g`` when that reads back exactly, else
+    ``repr``; exponents lose their leading zero (1e-9, not 1e-09)."""
+    s = f"{v:g}"
+    if float(s) != v:
+        s = repr(float(v))
+    return s.replace("e-0", "e-").replace("e+0", "e+")
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
@@ -109,7 +118,7 @@ def render_expr(e: Expr, strip_v: bool = False, _prec: int = 0) -> str:
     used inside generated monitor text.
     """
     if isinstance(e, Const):
-        s = f"{e.value:g}".replace("e-0", "e-").replace("e+0", "e+")
+        s = format_number(e.value)
         return s if e.value >= 0 else f"({s})"
     if isinstance(e, SignalRef):
         return e.name if strip_v else f"V({e.name})"

@@ -3,9 +3,12 @@
 Each assertion has a decision horizon: how far past an instant the
 trace must extend before that instant's verdict is final.  As samples
 arrive, atom truth runs are extended incrementally; once the stream
-frontier passes t + horizon, the classification of t can never change
-and is emitted.  Match and fail verdicts therefore come out chunked,
-one slice per feed step; vacuous stretches are reported at finalize.
+passes t + horizon, t is decided.  Verdicts are slices of the offline
+partition: each feed step runs `engine.classify` on the window from
+the assertion's frontier up to now - horizon and emits its match and
+fail pieces.  A window no wider than the time tolerance waits for the
+next sample, as normalization would drop it.  Vacuous pieces are held
+and reported at finalize, which classifies the rest of the stream.
 
 Memory and per-sample work stay bounded.  Raw samples are not retained:
 trackers keep only completed truth runs plus the previous sample.  An
@@ -14,10 +17,10 @@ lookback, ``depth(antecedent) + horizon``, before the frontier.  So
 after each emission the trackers drop every run that ends before the
 cut: the earliest frontier minus its lookback, less two time
 tolerances so that coalescing across the cut still sees both sides.
-Evaluation covers the sub-domain [cut, now] only, a constant stretch
-of stream time.  Before runs are dropped, the vacuous pieces up to each
-frontier are merged into a held list per assertion; that list grows
-with the number of vacuous components, not with the samples.
+Evaluation covers the sub-domain [cut, now] only, and builds the truth
+set of an atom only when an assertion that emits reads it.  The held
+vacuous list grows with the number of vacuous components, not with
+the samples.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 from . import ast
 from .atoms import AtomTable, BoolTracker, PorvTracker, event_points
-from .engine import _Evaluator, undetermined_region
+from .engine import _Evaluator, classify
 from .errors import ProtocolError, UnknownSignalError
-from .intervals import TIME_TOL, Interval, IntervalSet, minkowski_diff_set, set_difference, set_intersect
+from .intervals import TIME_TOL, Interval, IntervalSet, set_intersect
 from .trace import KINDS
 
 
@@ -49,7 +52,7 @@ class Obligation:
 
 
 class _PropState:
-    __slots__ = ("prop", "name", "horizon", "lookback", "frontier", "vacuous", "held_upto")
+    __slots__ = ("prop", "name", "horizon", "lookback", "frontier", "vacuous")
 
     def __init__(self, prop: ast.Property, name: str):
         self.prop = prop
@@ -57,8 +60,7 @@ class _PropState:
         self.horizon = ast.horizon(prop)
         self.lookback = ast.depth(prop.antecedent) + self.horizon
         self.frontier = float("-inf")
-        self.vacuous: list[Interval] = []  # decided vacuous components, normalized
-        self.held_upto = float("-inf")  # self.vacuous covers the stream up to here
+        self.vacuous: list[Interval] = []  # vacuous components up to the frontier, normalized
 
 
 class Session:
@@ -87,13 +89,8 @@ class Session:
                     raise UnknownSignalError(f"assertion uses undeclared signal {s!r}")
             self.props.append(_PropState(p, p.name or f"a{i + 1}"))
         self.eps = eps
-        self._atoms: list[ast.Atom] = []
-        for st in self.props:
-            for a in ast.collect_atoms(st.prop):
-                if a not in self._atoms:
-                    self._atoms.append(a)
         self._trackers: dict[ast.Atom, PorvTracker | BoolTracker] = {}
-        for a in self._atoms:
+        for a in dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop)):
             base = a.pred if isinstance(a, ast.EventAtom) else a
             if base not in self._trackers:
                 if isinstance(base, ast.Porv):
@@ -158,14 +155,14 @@ class Session:
         ev = None
         for st in self.props:
             upto = t - st.horizon
-            if upto < self._t0 or upto <= st.frontier:
+            # a window no wider than eps would normalize away: let it grow
+            if upto < self._t0 or upto - st.frontier <= self.eps:
                 continue
             if ev is None:
                 ev = _Evaluator(self._snapshot())
-            out.extend(self._emit_window(st, ev, upto, t))
-            st.frontier = upto
+            out.extend(Verdict(st.name, kind, comp, t) for comp, kind in self._decide(st, ev, upto))
         if ev is not None:
-            self._trim(ev)
+            self._trim()
         return out
 
     def finalize(self) -> list[Verdict]:
@@ -176,27 +173,11 @@ class Session:
         if self._t is None:
             return []
         ev = _Evaluator(self._snapshot())
-        domain, end = ev.domain, self._t
         out: list[Verdict] = []
         for st in self.props:
-            matched, fail_all, em = self._classify(st, ev)
-            self._hold_vacuous(st, em, domain, end)
-            window = Interval(st.frontier, end, False, True).intersect(domain)
-            chunks: list[tuple[Interval, str]] = []
-            if not window.is_empty:
-                wset = IntervalSet([window], self.eps)
-                und_region = undetermined_region(domain, st.horizon, self.eps)
-                for comp in set_intersect(matched, wset, self.eps).items:
-                    chunks.append((comp, "match"))
-                pending_fail = set_intersect(fail_all, wset, self.eps)
-                for comp in set_difference(pending_fail, und_region, domain, self.eps).items:
-                    chunks.append((comp, "fail"))
-                for comp in set_intersect(pending_fail, und_region, self.eps).items:
-                    chunks.append((comp, "undetermined"))
-            chunks[:0] = [(comp, "vacuous-end") for comp in st.vacuous]
+            chunks = self._decide(st, ev, self._t) + [(c, "vacuous-end") for c in st.vacuous]
             chunks.sort(key=lambda c: c[0]._lkey())
-            out.extend(Verdict(st.name, kind, comp, end) for comp, kind in chunks)
-            st.frontier = end
+            out.extend(Verdict(st.name, kind, comp, self._t) for comp, kind in chunks)
         return out
 
     def pending_obligations(self) -> list[Obligation]:
@@ -226,29 +207,43 @@ class Session:
 
     # -- internals ------------------------------------------------------
 
-    def _trim(self, ev: _Evaluator) -> None:
+    def _decide(self, st: _PropState, ev: _Evaluator, upto: float) -> list[tuple[Interval, str]]:
+        """Classify (frontier, upto] and move the frontier to ``upto``.
+
+        Vacuous pieces join the held list; the match, fail and
+        undetermined pieces are returned in time order.
+        """
+        window = Interval(st.frontier, upto, False, True).intersect(ev.domain)
+        st.frontier = upto
+        if window.is_empty:
+            return []
+        rep = classify(ev, st.prop, st.name, window)
+        if rep.vacuous:
+            # pieces arrive in time order: only the last held one can merge
+            st.vacuous[-1:] = IntervalSet([*st.vacuous[-1:], *rep.vacuous.items], self.eps).items
+        kinds = (("match", rep.nonvacuous), ("fail", rep.fail), ("undetermined", rep.undetermined))
+        chunks = [(c, kind) for kind, pieces in kinds for c in pieces]
+        return sorted(chunks, key=lambda c: c[0]._lkey())
+
+    def _trim(self) -> None:
         cut = min([st.frontier - st.lookback for st in self.props]) - 2 * self.eps
         if cut <= self._cut:
             return
-        # vacuity up to each frontier is decided but computed from runs
-        # about to be dropped: hold those pieces first
-        for st in self.props:
-            if st.held_upto < st.frontier:
-                self._hold_vacuous(st, ev.end(st.prop.antecedent), ev.domain, st.frontier)
         self._cut = cut
         for tr in self._trackers.values():
             tr.drop_before(cut)
 
     def _snapshot(self) -> AtomTable:
+        """Atom truth over [cut, now]; each set is built on its first lookup."""
         domain = Interval(self._cut, self._t)
         stream = Interval(self._t0, self._t)
-        sets: dict[ast.Atom, IntervalSet] = {}
-        comp_cache: dict[ast.Atom, list[Interval]] = {}
-        for atom in self._atoms:
+        runs: dict[ast.Atom, list[Interval]] = {}
+
+        def build(atom: ast.Atom) -> IntervalSet:
             base = atom.pred if isinstance(atom, ast.EventAtom) else atom
-            if base not in comp_cache:
-                comp_cache[base] = self._trackers[base].components(self._t)
-            comps = comp_cache[base]
+            if base not in runs:
+                runs[base] = self._trackers[base].components(self._t)
+            comps = runs[base]
             if isinstance(atom, ast.EventAtom):
                 # edges follow the stream-start rule, not the cut
                 comps = event_points(comps, stream, atom.edge)
@@ -256,43 +251,20 @@ class Session:
             # time order, so only the first component can reach before it
             if comps and comps[0].lo < domain.lo:
                 comps = [comps[0].intersect(domain), *comps[1:]]
-            sets[atom] = IntervalSet(comps, self.eps)
-        return AtomTable(domain, sets, self.eps)
+            return IntervalSet(comps, self.eps)
 
-    def _hold_vacuous(self, st: _PropState, em: IntervalSet, domain: Interval, upto: float) -> None:
-        """Merge the vacuous pieces of (held_upto, upto] into the held list."""
-        window = Interval(st.held_upto, upto, False, True).intersect(domain)
-        st.held_upto = upto
-        if window.is_empty:
-            return
-        vac = set_difference(IntervalSet([window], self.eps), em, domain, self.eps)
-        if vac:
-            # pieces arrive in time order: only the last held one can merge
-            st.vacuous[-1:] = IntervalSet([*st.vacuous[-1:], *vac.items], self.eps).items
+        return AtomTable(domain, _LazySets(build), self.eps)
 
-    def _classify(self, st: _PropState, ev: _Evaluator):
-        p = st.prop
-        em = ev.end(p.antecedent)
-        bm = ev.begin(p.consequent, ev.dom_set)
-        if p.delay is not None:
-            lo, hi = p.delay
-            bm = set_intersect(
-                minkowski_diff_set(bm, lo, hi, self.eps), ev.dom_set, self.eps
-            )
-        matched = set_intersect(em, bm, self.eps)
-        fail_all = set_difference(em, matched, ev.domain, self.eps)
-        return matched, fail_all, em
 
-    def _emit_window(self, st: _PropState, ev: _Evaluator, upto: float, now: float) -> list[Verdict]:
-        matched, fail_all, _ = self._classify(st, ev)
-        window = Interval(st.frontier, upto, False, True).intersect(ev.domain)
-        if window.is_empty:
-            return []
-        wset = IntervalSet([window], self.eps)
-        chunks = [(c, "match") for c in set_intersect(matched, wset, self.eps).items]
-        chunks += [(c, "fail") for c in set_intersect(fail_all, wset, self.eps).items]
-        chunks.sort(key=lambda c: c[0]._lkey())
-        return [Verdict(st.name, kind, comp, now) for comp, kind in chunks]
+class _LazySets(dict):
+    """Atom truth sets, each computed by ``build`` on its first lookup."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __missing__(self, atom):
+        got = self[atom] = self._build(atom)
+        return got
 
 
 def open_session(props, signals, eps: float = TIME_TOL) -> Session:

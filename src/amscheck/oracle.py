@@ -24,24 +24,11 @@ _TOL = 1e-9
 
 def _bounds_of(p: ast.Property) -> list[float]:
     out = []
-
-    def seq(s):
-        if isinstance(s, ast.SeqBool):
-            return
-        if isinstance(s, ast.Repeat):
-            out.append(s.dur)
-            seq(s.seq)
-        elif isinstance(s, ast.RepeatUntil):
-            out.extend([s.lo, s.hi])
-            seq(s.seq)
-            seq(s.cont)
-        elif isinstance(s, ast.Delay):
-            out.extend([s.lo, s.hi])
-            seq(s.left)
-            seq(s.right)
-
-    seq(p.antecedent)
-    seq(p.consequent)
+    for n in ast.iter_nodes(p):
+        if isinstance(n, ast.Repeat):
+            out.append(n.dur)
+        elif isinstance(n, (ast.RepeatUntil, ast.Delay)):
+            out.extend([n.lo, n.hi])
     if p.delay is not None:
         out.extend(p.delay)
     return [b for b in out if b > 0]
@@ -235,48 +222,8 @@ class _GridEval:
         raise TypeError(f"no grid semantics for {type(s).__name__}")
 
 
-def _seq_nodes(s: ast.SeqExpr) -> list:
-    out = [s]
-    if isinstance(s, ast.Repeat):
-        out += _seq_nodes(s.seq)
-    elif isinstance(s, ast.RepeatUntil):
-        out += _seq_nodes(s.seq) + _seq_nodes(s.cont)
-    elif isinstance(s, ast.Delay):
-        out += _seq_nodes(s.left) + _seq_nodes(s.right)
-    return out
-
-
-def _bexpr_has_event(b: ast.BExpr) -> bool:
-    if isinstance(b, ast.EventAtom):
-        return True
-    if isinstance(b, ast.Not):
-        return _bexpr_has_event(b.operand)
-    if isinstance(b, ast.And):
-        return any(_bexpr_has_event(t) for t in b.terms)
-    if isinstance(b, ast.Or):
-        return _bexpr_has_event(b.left) or _bexpr_has_event(b.right)
-    return False
-
-
-def _seq_has_event(s: ast.SeqExpr) -> bool:
-    if isinstance(s, ast.SeqBool):
-        return _bexpr_has_event(s.bexpr)
-    return any(_seq_has_event(c) for c in _seq_nodes(s)[1:])
-
-
-def _event_preds(b: ast.BExpr, out: list) -> None:
-    if isinstance(b, ast.EventAtom):
-        if not _bexpr_has_event(b.pred):
-            out.append(b.pred)
-        _event_preds(b.pred, out)
-    elif isinstance(b, ast.Not):
-        _event_preds(b.operand, out)
-    elif isinstance(b, ast.And):
-        for t in b.terms:
-            _event_preds(t, out)
-    elif isinstance(b, ast.Or):
-        _event_preds(b.left, out)
-        _event_preds(b.right, out)
+def _has_event(node) -> bool:
+    return any(isinstance(n, ast.EventAtom) for n in ast.iter_nodes(node))
 
 
 def _narrow_run(vec: np.ndarray, dt: float, dt_f: float):
@@ -355,14 +302,10 @@ def check_resolution(trace: Trace, p: ast.Property, dt: float, refine: int = 8) 
     n = int(math.floor((t1 - t0) / dt_f + _TOL))
     grid = t0 + dt_f * np.arange(n + 1)
     ev = _GridEval(trace, grid, dt_f)
-    nodes = _seq_nodes(p.antecedent) + _seq_nodes(p.consequent)
-    vecs = [ev.end(s) for s in nodes if not _seq_has_event(s)]
-    preds: list[ast.BExpr] = []
-    for s in nodes:
-        if isinstance(s, ast.SeqBool):
-            _event_preds(s.bexpr, preds)
-    vecs += [ev.bexpr(q) for q in preds]
-    if p.delay is not None and not _seq_has_event(p.consequent):
+    nodes = list(ast.iter_nodes(p))
+    vecs = [ev.end(s) for s in nodes if isinstance(s, ast.SEQS) and not _has_event(s)]
+    vecs += [ev.bexpr(n.pred) for n in nodes if isinstance(n, ast.EventAtom)]
+    if p.delay is not None and not _has_event(p.consequent):
         vecs.append(ev.begin(p.consequent, np.ones(len(grid), dtype=bool)))
     for vec in vecs:
         hit = _narrow_run(vec, dt, dt_f)

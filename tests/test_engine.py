@@ -1,7 +1,10 @@
 """Offline match-engine tests: end matches, begin matches, full reports."""
 
+import random
+
 import pytest
 
+from _corpus import random_property, random_trace
 from amscheck import (
     Interval,
     IntervalSet,
@@ -16,6 +19,7 @@ from amscheck import (
     set_intersect,
     set_union,
 )
+from amscheck.engine import _Evaluator, classify
 from amscheck.wavegen import fixture_trace
 
 MS = 1e-3
@@ -258,3 +262,24 @@ class TestRecurrenceLaws:
             assert src, f"repeat match {comp} outside every operand component"
             assert comp.lo == pytest.approx(src[0].lo + 0.002)
             assert comp.hi == pytest.approx(src[0].hi)
+
+
+class TestClassifyWindows:
+    """Classifying the pieces of a split domain gives the whole-domain report."""
+
+    def test_split_domain_agrees(self):
+        rng = random.Random(31)
+        for case in range(60):
+            tr = random_trace(rng)
+            p = random_property(rng, list(tr.signals))
+            tab = build_table(tr, p)
+            whole = assertion_match(p, tab)
+            lo, hi = tab.domain.lo, tab.domain.hi
+            cuts = sorted(rng.uniform(lo, hi) for _ in range(rng.randint(1, 4)))
+            pieces = [Interval(lo, cuts[0])]
+            pieces += [Interval(a, b, False, True) for a, b in zip(cuts, cuts[1:] + [hi])]
+            ev = _Evaluator(tab)
+            reps = [classify(ev, p, "r", w) for w in pieces]
+            for field in ("nonvacuous", "vacuous", "fail", "undetermined"):
+                got = IntervalSet(c for r in reps for c in getattr(r, field))
+                assert got.approx_eq(getattr(whole, field)), (case, field)

@@ -284,3 +284,21 @@ class TestLongStream:
             if i + 1 in (1_000, 10_000):
                 retained[i + 1] = sess.retained_runs()
         assert 0 < retained[10_000] <= retained[1_000]
+
+
+class TestSubEpsWindows:
+    """Samples closer together than eps must not lose their verdicts."""
+
+    def test_matches_offline(self):
+        p = parse_property("{V(x)>0.5} |-> {V(x)<2}", name="p")
+        times = [k * 0.5e-9 for k in range(40)]
+        sess = Session([p], ["x"])
+        verdicts = []
+        for t in times:
+            verdicts += sess.feed(t, [1.0])
+        verdicts += sess.finalize()
+        rep = assertion_match(p, build_table(Trace(times, {"x": [1.0] * len(times)}), p))
+        assert rep.nonvacuous.approx_eq(IntervalSet([Interval(0.0, 19.5e-9)]))
+        assert union_of(verdicts, {"match"}).approx_eq(rep.nonvacuous)
+        # verdicts still come out live, not only at finalize
+        assert any(v.kind == "match" and v.decided_at < times[-1] for v in verdicts[1:])
