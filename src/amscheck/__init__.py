@@ -31,16 +31,14 @@ from .intervals import (
     TIME_TOL,
     Interval,
     IntervalSet,
-    minkowski_diff,
     minkowski_diff_set,
-    minkowski_sum,
     minkowski_sum_set,
     set_complement,
     set_difference,
     set_intersect,
     set_union,
 )
-from .online import Obligation, Session, Verdict, open_session
+from .online import Obligation, Session, Verdict
 from .oracle import grid_resolves, oracle_classify
 from .parser import parse_file, parse_property
 from .trace import Trace, load_csv, save_csv
@@ -90,11 +88,8 @@ __all__ = [
     "horizon",
     "load_csv",
     "load_spec",
-    "minkowski_diff",
     "minkowski_diff_set",
-    "minkowski_sum",
     "minkowski_sum_set",
-    "open_session",
     "grid_resolves",
     "oracle_classify",
     "parse_file",

@@ -13,6 +13,12 @@ identical components by construction.  A streaming tracker may drop its
 completed runs that end before a cut instant (`drop_before`); the runs
 it keeps are still exactly the batch components.
 
+One `AtomTable` turns those runs into atom truth sets for both modes.
+It is built from a source of base runs (the whole trace for
+`build_table`, the trackers for a streaming snapshot), the domain the
+sets are clipped to, and the interval that event points are placed
+against.  Each atom's set is built on its first lookup.
+
 Event semantics: an event marks the boundary instant where a
 predicate's truth starts (pos) or ends (neg).  The trace start carries
 no history, so a truth run touching it yields no pos event; a neg
@@ -21,10 +27,13 @@ event needs the predicate to actually go false within the trace.
 
 from __future__ import annotations
 
+import bisect
+from typing import Callable, Iterable
+
 import numpy as np
 
 from . import ast
-from .errors import AmscheckError, TraceError
+from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
 from .intervals import TIME_TOL, Interval, IntervalSet, set_complement, set_intersect, set_union
 from .trace import Trace
@@ -34,8 +43,6 @@ def _check_analog(trace: Trace, porv: ast.Porv) -> tuple[str, ...]:
     sigs = expr_signals(porv.expr)
     for s in sigs:
         if s not in trace.signals:
-            from .errors import UnknownSignalError
-
             raise UnknownSignalError(f"trace has no signal {s!r}")
         if trace.kinds[s] != "analog":
             raise TraceError(f"V({s}) reads a boolean signal; analog values need an analog signal")
@@ -43,36 +50,11 @@ def _check_analog(trace: Trace, porv: ast.Porv) -> tuple[str, ...]:
 
 
 class _RunTracker:
-    """Completed truth runs in time order, trimmable from the front."""
+    """Completed truth runs in time order, trimmable from the front, plus the open run."""
 
-    completed: list[Interval]
-
-    def drop_before(self, cut: float) -> None:
-        """Forget completed runs that end before ``cut``."""
-        runs = self.completed
-        k = 0
-        while k < len(runs) and runs[k].hi < cut:
-            k += 1
-        if k:
-            del runs[:k]
-
-
-class PorvTracker(_RunTracker):
-    """Incremental truth-run builder for one predicate."""
-
-    def __init__(self, porv: ast.Porv, eps: float = TIME_TOL):
-        self.porv = porv
-        self.eps = eps
-        self.ge = porv.rel == ">="
-        self.affine = is_affine(porv.expr)
-        self.signals = expr_signals(porv.expr)
+    def __init__(self):
         self.completed: list[Interval] = []
-        self.run: tuple[float, bool] | None = None
-        self.prev_t: float | None = None
-        self.prev_vals: dict[str, float] = {}
-        self.prev_g: float = 0.0
-
-    # -- run bookkeeping ------------------------------------------------
+        self.run: tuple[float, bool] | None = None  # start and its closedness
 
     def _open(self, t: float, closed: bool) -> None:
         if self.run is None:
@@ -84,6 +66,35 @@ class PorvTracker(_RunTracker):
             if not iv.is_empty:
                 self.completed.append(iv)
             self.run = None
+
+    def drop_before(self, cut: float) -> None:
+        """Forget completed runs that end before ``cut``."""
+        # completed runs are disjoint and in time order, so their ends ascend
+        del self.completed[: bisect.bisect_left(self.completed, cut, key=lambda r: r.hi)]
+
+    def components(self, t_now: float) -> list[Interval]:
+        """The runs so far, the open one closed at ``t_now``."""
+        out = list(self.completed)
+        if self.run is not None:
+            iv = Interval(self.run[0], t_now, self.run[1], True)
+            if not iv.is_empty:
+                out.append(iv)
+        return out
+
+
+class PorvTracker(_RunTracker):
+    """Incremental truth-run builder for one predicate."""
+
+    def __init__(self, porv: ast.Porv, eps: float = TIME_TOL):
+        super().__init__()
+        self.porv = porv
+        self.eps = eps
+        self.ge = porv.rel == ">="
+        self.affine = is_affine(porv.expr)
+        self.signals = expr_signals(porv.expr)
+        self.prev_t: float | None = None
+        self.prev_vals: dict[str, float] = {}
+        self.prev_g: float = 0.0
 
     # -- crossing refinement --------------------------------------------
 
@@ -143,44 +154,28 @@ class PorvTracker(_RunTracker):
             if ge:
                 self._close(t0, True)
 
-    def components(self, t_now: float) -> list[Interval]:
-        out = list(self.completed)
-        if self.run is not None:
-            iv = Interval(self.run[0], t_now, self.run[1], True)
-            if not iv.is_empty:
-                out.append(iv)
-        return out
-
 
 class BoolTracker(_RunTracker):
     """Incremental truth-run builder for a digital signal (hold semantics)."""
 
     def __init__(self, name: str):
+        super().__init__()
         self.name = name
-        self.completed: list[Interval] = []
-        self.run_start: float | None = None
         self.prev: float = 0.0
 
     def begin(self, t0: float, vals: dict[str, float]) -> None:
         v = vals[self.name]
         if v == 1.0:
-            self.run_start = t0
+            self._open(t0, True)
         self.prev = v
 
     def advance(self, t1: float, vals: dict[str, float]) -> None:
         v = vals[self.name]
-        if self.prev == 1.0 and v == 0.0 and self.run_start is not None:
-            self.completed.append(Interval(self.run_start, t1, True, False))
-            self.run_start = None
+        if self.prev == 1.0 and v == 0.0:
+            self._close(t1, False)
         elif self.prev == 0.0 and v == 1.0:
-            self.run_start = t1
+            self._open(t1, True)
         self.prev = v
-
-    def components(self, t_now: float) -> list[Interval]:
-        out = list(self.completed)
-        if self.run_start is not None:
-            out.append(Interval(self.run_start, t_now, True, True))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +206,6 @@ def _porv_components(trace: Trace, porv: ast.Porv, eps: float) -> list[Interval]
 def _bool_components(trace: Trace, name: str) -> list[Interval]:
     if trace.kinds.get(name) != "boolean":
         if name not in trace.signals:
-            from .errors import UnknownSignalError
-
             raise UnknownSignalError(f"trace has no signal {name!r}")
         raise TraceError(f"signal {name!r} is analog but is used as a proposition")
     times = trace.times()
@@ -226,55 +219,83 @@ def _bool_components(trace: Trace, name: str) -> list[Interval]:
     return tracker.components(times[-1])
 
 
-def event_points(components: list[Interval], domain: Interval, edge: str) -> list[Interval]:
-    """Point intervals at qualifying truth boundaries."""
+def event_points(components: list[Interval], edges: Interval, edge: str) -> list[Interval]:
+    """Point intervals at qualifying truth boundaries.
+
+    A run that starts at ``edges.lo`` has no pos edge, and one that ends
+    closed at ``edges.hi`` has no neg edge: there is no trace outside.
+    """
     pts: list[Interval] = []
     for comp in components:
-        if edge in ("pos", "any") and comp.lo > domain.lo:
+        if edge in ("pos", "any") and comp.lo > edges.lo:
             pts.append(Interval(comp.lo, comp.lo))
         if edge in ("neg", "any") and (
-            comp.hi < domain.hi or (comp.hi == domain.hi and not comp.hi_closed)
+            comp.hi < edges.hi or (comp.hi == edges.hi and not comp.hi_closed)
         ):
             pts.append(Interval(comp.hi, comp.hi))
     return pts
 
 
-def porv_truth(trace: Trace, porv: ast.Porv, eps: float = TIME_TOL) -> IntervalSet:
-    return IntervalSet(_porv_components(trace, porv, eps), eps)
-
-
-def bool_truth(trace: Trace, name: str, eps: float = TIME_TOL) -> IntervalSet:
-    return IntervalSet(_bool_components(trace, name), eps)
-
-
-def event_truth(trace: Trace, event: ast.EventAtom, eps: float = TIME_TOL) -> IntervalSet:
-    if isinstance(event.pred, ast.Porv):
-        comps = _porv_components(trace, event.pred, eps)
-    else:
-        comps = _bool_components(trace, event.pred.name)
-    return IntervalSet(event_points(comps, trace.domain, event.edge), eps)
-
-
 class AtomTable:
     """Truth sets for every leaf atom of a property group, plus the domain.
 
-    ``sets`` is kept as given, not copied, so a dict that builds its
-    entries in ``__missing__`` stays lazy.
+    An atom's set is built on its first `get`.  ``runs(base)`` gives the
+    truth runs of a predicate or digital signal in time order, computed
+    once per base; an event atom takes its points from them, placed
+    against ``edges`` (the domain unless given).  Only the first run may
+    start before the domain, and it is clipped to it.
     """
 
-    def __init__(self, domain: Interval, sets: dict[ast.Atom, IntervalSet], eps: float = TIME_TOL):
+    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list[Interval]],
+                 edges: Interval | None = None, eps: float = TIME_TOL):
         self.domain = domain
         self.eps = eps
-        self._sets = sets
+        self._atoms = dict.fromkeys(atoms)
+        self._runs = runs
+        self._edges = domain if edges is None else edges
+        self._base: dict[ast.Atom, list[Interval]] = {}
+        self._sets: dict[ast.Atom, IntervalSet] = {}
 
     def get(self, atom: ast.Atom) -> IntervalSet:
-        try:
-            return self._sets[atom]
-        except KeyError:
-            raise AmscheckError(f"no truth set for atom {atom}") from None
+        got = self._sets.get(atom)
+        if got is None:
+            if atom not in self._atoms:
+                raise AmscheckError(f"no truth set for atom {atom}")
+            base = atom.pred if isinstance(atom, ast.EventAtom) else atom
+            if base not in self._base:
+                self._base[base] = self._runs(base)
+            comps = self._base[base]
+            if isinstance(atom, ast.EventAtom):
+                comps = event_points(comps, self._edges, atom.edge)
+            if comps and comps[0].lo < self.domain.lo:
+                comps = [comps[0].intersect(self.domain), *comps[1:]]
+            got = self._sets[atom] = IntervalSet(comps, self.eps)
+        return got
 
     def atoms(self) -> tuple[ast.Atom, ...]:
-        return tuple(self._sets)
+        return tuple(self._atoms)
+
+
+def _trace_table(trace: Trace, atoms: Iterable[ast.Atom], eps: float) -> AtomTable:
+    def runs(base: ast.Atom) -> list[Interval]:
+        if isinstance(base, ast.Porv):
+            return _porv_components(trace, base, eps)
+        return _bool_components(trace, base.name)
+
+    return AtomTable(trace.domain, atoms, runs, eps=eps)
+
+
+def porv_truth(trace: Trace, porv: ast.Porv, eps: float = TIME_TOL) -> IntervalSet:
+    return _trace_table(trace, [porv], eps).get(porv)
+
+
+def bool_truth(trace: Trace, name: str, eps: float = TIME_TOL) -> IntervalSet:
+    atom = ast.BoolSignal(name)
+    return _trace_table(trace, [atom], eps).get(atom)
+
+
+def event_truth(trace: Trace, event: ast.EventAtom, eps: float = TIME_TOL) -> IntervalSet:
+    return _trace_table(trace, [event], eps).get(event)
 
 
 def build_table(
@@ -282,28 +303,18 @@ def build_table(
     props: "ast.Property | list[ast.Property] | tuple[ast.Property, ...]",
     eps: float = TIME_TOL,
 ) -> AtomTable:
-    """Evaluate every atom of the given properties over the trace."""
+    """Evaluate every atom of the given properties over the trace.
+
+    All sets are built here, so a missing or wrongly-kinded signal
+    raises before any engine work.  The table then keeps only the sets.
+    """
     if isinstance(props, ast.Property):
         props = [props]
-    atoms = dict.fromkeys(a for p in props for a in ast.collect_atoms(p))
-    base_cache: dict[ast.Atom, list[Interval]] = {}
-
-    def base_components(pred) -> list[Interval]:
-        if pred not in base_cache:
-            if isinstance(pred, ast.Porv):
-                base_cache[pred] = _porv_components(trace, pred, eps)
-            else:
-                base_cache[pred] = _bool_components(trace, pred.name)
-        return base_cache[pred]
-
-    sets: dict[ast.Atom, IntervalSet] = {}
-    for atom in atoms:
-        if isinstance(atom, ast.EventAtom):
-            comps = event_points(base_components(atom.pred), trace.domain, atom.edge)
-        else:
-            comps = base_components(atom)
-        sets[atom] = IntervalSet(comps, eps)
-    return AtomTable(trace.domain, sets, eps)
+    tab = _trace_table(trace, (a for p in props for a in ast.collect_atoms(p)), eps)
+    for atom in tab.atoms():
+        tab.get(atom)
+    tab._base, tab._runs = {}, None  # every set is built; drop the runs and the trace
+    return tab
 
 
 def bexpr_truth(table: AtomTable, b: ast.BExpr) -> IntervalSet:

@@ -21,7 +21,7 @@ from .atoms import build_table
 from .codegen import CodegenConfig, generate_monitors
 from .engine import assertion_match
 from .errors import AmscheckError, ProtocolError
-from .intervals import Interval, IntervalSet
+from .intervals import TIME_TOL, Interval, IntervalSet
 from .online import Session
 from .oracle import oracle_classify
 from .parser import parse_file
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--time-tol", type=float, default=1e-9, help="time comparison tolerance in seconds")
+        p.add_argument("--time-tol", type=float, default=TIME_TOL, help="time comparison tolerance in seconds")
         p.add_argument("--value-tol", type=float, default=1e-6, help="tolerance used to desugar == on analog values")
         p.add_argument("--assert-name", default=None, help="check only the named assertion")
 

@@ -28,6 +28,7 @@ from .atoms import AtomTable, bexpr_truth
 from .intervals import (
     Interval,
     IntervalSet,
+    _shift,
     minkowski_diff_set,
     minkowski_sum_set,
     set_complement,
@@ -35,16 +36,6 @@ from .intervals import (
     set_intersect,
     set_union,
 )
-
-
-def _shift_components(em: IntervalSet, dur: float, domain: Interval, eps: float) -> IntervalSet:
-    """Recurrence rule: [l:r] -> [l+dur : r], dropped when too short."""
-    out = []
-    for c in em.items:
-        iv = Interval(c.lo + dur, c.hi, c.lo_closed, c.hi_closed).intersect(domain)
-        if not iv.is_empty:
-            out.append(iv)
-    return IntervalSet(out, eps)
 
 
 class _Evaluator:
@@ -72,12 +63,13 @@ class _Evaluator:
         if isinstance(s, ast.SeqBool):
             return self.bexpr(s.bexpr)
         if isinstance(s, ast.Repeat):
-            return _shift_components(self.end(s.seq), s.dur, self.domain, self.eps)
+            # held for dur: [l:r] -> [l+dur : r], which only shrinks, so it stays in the domain
+            return _shift(self.end(s.seq), s.dur, 0.0, self.eps)
         if isinstance(s, ast.Delay):
             shifted = minkowski_sum_set(self.end(s.left), s.lo, s.hi, self.eps)
             return set_intersect(shifted, self.end(s.right), self.eps)
         if isinstance(s, ast.RepeatUntil):
-            held = _shift_components(self.end(s.seq), s.lo, self.domain, self.eps)
+            held = _shift(self.end(s.seq), s.lo, 0.0, self.eps)
             return set_intersect(held, self.end(s.cont), self.eps)
         raise TypeError(f"not a sequence expression: {type(s).__name__}")
 
@@ -90,14 +82,10 @@ class _Evaluator:
         if isinstance(s, ast.Repeat):
             pulled = minkowski_diff_set(ends, s.dur, s.dur, self.eps)
             return self.begin(s.seq, self._clip(pulled))
-        if isinstance(s, ast.Delay):
+        if isinstance(s, (ast.Delay, ast.RepeatUntil)):
+            first = s.left if isinstance(s, ast.Delay) else s.seq
             pulled = minkowski_diff_set(ends, s.lo, s.hi, self.eps)
-            inner = set_intersect(self._clip(pulled), self.end(s.left), self.eps)
-            return self.begin(s.left, inner)
-        if isinstance(s, ast.RepeatUntil):
-            pulled = minkowski_diff_set(ends, s.lo, s.hi, self.eps)
-            inner = set_intersect(self._clip(pulled), self.end(s.seq), self.eps)
-            return self.begin(s.seq, inner)
+            return self.begin(first, set_intersect(self._clip(pulled), self.end(first), self.eps))
         raise TypeError(f"not a sequence expression: {type(s).__name__}")
 
     def _clip(self, s: IntervalSet) -> IntervalSet:

@@ -6,6 +6,13 @@ complementation, survive every operation exactly.  Sets are kept
 normalized: components sorted, pairwise disjoint, and coalesced when
 they overlap or touch within the endpoint tolerance.
 
+The algebra has five operations: normalization (`IntervalSet`),
+`set_intersect`, `set_union`, `set_complement` (with `set_difference`
+built from the last two), and one shift, `_shift`, that moves every
+component ``[l:r]`` to ``[l+dlo : r+dhi]``.  The Minkowski sum and
+difference with a delay window and the recurrence rule of the engine
+are all calls to that shift.
+
 All times are seconds as floats.  Two endpoints are considered equal
 when they differ by at most ``eps`` (default 1e-9 s); coalescing uses
 the same tolerance.  Arithmetic itself is exact: the tolerance never
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InvalidDelayError
 
@@ -54,14 +61,6 @@ class Interval:
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi and self.lo_closed
-
-    @property
-    def length(self) -> float:
-        return 0.0 if self.is_empty else self.hi - self.lo
-
     def contains(self, t: float) -> bool:
         if self.is_empty:
             return False
@@ -88,11 +87,6 @@ class Interval:
         hi, hif = min(self._rkey(), other._rkey())
         return Interval(lo, hi, lof == 0, hif == 1)
 
-    def shift(self, delta: float) -> "Interval":
-        if self.is_empty:
-            return EMPTY
-        return Interval(self.lo + delta, self.hi + delta, self.lo_closed, self.hi_closed)
-
     def approx_eq(self, other: "Interval", tol: float = TIME_TOL) -> bool:
         if self.is_empty or other.is_empty:
             return self.is_empty and other.is_empty
@@ -117,22 +111,6 @@ EMPTY = Interval(math.inf, -math.inf, False, False)
 def _check_delay(c: float, d: float) -> None:
     if not 0 <= c <= d:
         raise InvalidDelayError(f"delay window [{c}:{d}] needs 0 <= c <= d")
-
-
-def minkowski_sum(iv: Interval, c: float, d: float) -> Interval:
-    """[l:r] (+) [c:d] = [l+c : r+d], endpoint closedness preserved."""
-    _check_delay(c, d)
-    if iv.is_empty:
-        return EMPTY
-    return Interval(iv.lo + c, iv.hi + d, iv.lo_closed, iv.hi_closed)
-
-
-def minkowski_diff(iv: Interval, c: float, d: float) -> Interval:
-    """[l:r] (-) [c:d] = [l-d : r-c], endpoint closedness preserved."""
-    _check_delay(c, d)
-    if iv.is_empty:
-        return EMPTY
-    return Interval(iv.lo - d, iv.hi - c, iv.lo_closed, iv.hi_closed)
 
 
 def _normalize(items: Iterable[Interval], eps: float) -> tuple[Interval, ...]:
@@ -209,17 +187,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.items
 
-    @property
-    def span(self) -> Interval:
-        """Convex hull of the set."""
-        if not self.items:
-            return EMPTY
-        first, last = self.items[0], self.items[-1]
-        return Interval(first.lo, last.hi, first.lo_closed, last.hi_closed)
-
-    def total_length(self) -> float:
-        return sum(i.length for i in self.items)
-
     def contains(self, t: float) -> bool:
         return any(i.contains(t) for i in self.items)
 
@@ -227,12 +194,6 @@ class IntervalSet:
         return len(self.items) == len(other.items) and all(
             a.approx_eq(b, tol) for a, b in zip(self.items, other.items)
         )
-
-    def map_components(
-        self, fn: Callable[[Interval], Interval], eps: float = TIME_TOL
-    ) -> "IntervalSet":
-        """Apply ``fn`` to every component and renormalize the result."""
-        return IntervalSet((fn(i) for i in self.items), eps)
 
 
 def set_union(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> IntervalSet:
@@ -283,11 +244,22 @@ def set_difference(
     return set_intersect(a, set_complement(b, domain, eps), eps)
 
 
+def _shift(a: IntervalSet, dlo: float, dhi: float, eps: float = TIME_TOL) -> IntervalSet:
+    """Map every component [l:r] to [l+dlo : r+dhi], closedness kept, and renormalize.
+
+    With ``dlo > dhi`` components shrink, and one that becomes empty or
+    a sub-eps sliver drops out; with ``dlo < dhi`` neighbours may merge.
+    """
+    return IntervalSet((Interval(i.lo + dlo, i.hi + dhi, i.lo_closed, i.hi_closed) for i in a.items), eps)
+
+
 def minkowski_sum_set(a: IntervalSet, c: float, d: float, eps: float = TIME_TOL) -> IntervalSet:
+    """a (+) [c:d]: each [l:r] becomes [l+c : r+d]."""
     _check_delay(c, d)
-    return a.map_components(lambda i: minkowski_sum(i, c, d), eps)
+    return _shift(a, c, d, eps)
 
 
 def minkowski_diff_set(a: IntervalSet, c: float, d: float, eps: float = TIME_TOL) -> IntervalSet:
+    """a (-) [c:d]: each [l:r] becomes [l-d : r-c]."""
     _check_delay(c, d)
-    return a.map_components(lambda i: minkowski_diff(i, c, d), eps)
+    return _shift(a, -d, -c, eps)

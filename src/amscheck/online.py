@@ -17,10 +17,12 @@ lookback, ``depth(antecedent) + horizon``, before the frontier.  So
 after each emission the trackers drop every run that ends before the
 cut: the earliest frontier minus its lookback, less two time
 tolerances so that coalescing across the cut still sees both sides.
-Evaluation covers the sub-domain [cut, now] only, and builds the truth
-set of an atom only when an assertion that emits reads it.  The held
-vacuous list grows with the number of vacuous components, not with
-the samples.
+Evaluation covers the sub-domain [cut, now] only.  A snapshot is the
+batch `atoms.AtomTable` over the trackers' runs instead of the trace:
+its domain is [cut, now], event edges are placed against the stream
+start rather than the cut, and an atom's set is built only when an
+assertion that emits reads it.  The held vacuous list grows with the
+number of vacuous components, not with the samples.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import ast
-from .atoms import AtomTable, BoolTracker, PorvTracker, event_points
+from .atoms import AtomTable, BoolTracker, PorvTracker
 from .engine import _Evaluator, classify
 from .errors import ProtocolError, UnknownSignalError
 from .intervals import TIME_TOL, Interval, IntervalSet, set_intersect
@@ -89,18 +91,14 @@ class Session:
                     raise UnknownSignalError(f"assertion uses undeclared signal {s!r}")
             self.props.append(_PropState(p, p.name or f"a{i + 1}"))
         self.eps = eps
+        self._atoms = dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop))
         self._trackers: dict[ast.Atom, PorvTracker | BoolTracker] = {}
-        for a in dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop)):
+        for a in self._atoms:
             base = a.pred if isinstance(a, ast.EventAtom) else a
+            if isinstance(base, ast.BoolSignal) and self.kinds.get(base.name) != "boolean":
+                raise ProtocolError(f"signal {base.name!r} used as a proposition must be declared boolean")
             if base not in self._trackers:
-                if isinstance(base, ast.Porv):
-                    self._trackers[base] = PorvTracker(base, eps)
-                else:
-                    if self.kinds.get(base.name) != "boolean":
-                        raise ProtocolError(
-                            f"signal {base.name!r} used as a proposition must be declared boolean"
-                        )
-                    self._trackers[base] = BoolTracker(base.name)
+                self._trackers[base] = PorvTracker(base, eps) if isinstance(base, ast.Porv) else BoolTracker(base.name)
         for tr in self._trackers.values():
             if isinstance(tr, PorvTracker):
                 for s in tr.signals:
@@ -234,38 +232,7 @@ class Session:
             tr.drop_before(cut)
 
     def _snapshot(self) -> AtomTable:
-        """Atom truth over [cut, now]; each set is built on its first lookup."""
-        domain = Interval(self._cut, self._t)
-        stream = Interval(self._t0, self._t)
-        runs: dict[ast.Atom, list[Interval]] = {}
-
-        def build(atom: ast.Atom) -> IntervalSet:
-            base = atom.pred if isinstance(atom, ast.EventAtom) else atom
-            if base not in runs:
-                runs[base] = self._trackers[base].components(self._t)
-            comps = runs[base]
-            if isinstance(atom, ast.EventAtom):
-                # edges follow the stream-start rule, not the cut
-                comps = event_points(comps, stream, atom.edge)
-            # every retained run ends at or after the cut and runs are in
-            # time order, so only the first component can reach before it
-            if comps and comps[0].lo < domain.lo:
-                comps = [comps[0].intersect(domain), *comps[1:]]
-            return IntervalSet(comps, self.eps)
-
-        return AtomTable(domain, _LazySets(build), self.eps)
-
-
-class _LazySets(dict):
-    """Atom truth sets, each computed by ``build`` on its first lookup."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __missing__(self, atom):
-        got = self[atom] = self._build(atom)
-        return got
-
-
-def open_session(props, signals, eps: float = TIME_TOL) -> Session:
-    return Session(props, signals, eps)
+        """Atom truth over [cut, now], from the trackers' runs."""
+        t = self._t
+        return AtomTable(Interval(self._cut, t), self._atoms, lambda base: self._trackers[base].components(t),
+                         edges=Interval(self._t0, t), eps=self.eps)

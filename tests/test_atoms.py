@@ -3,6 +3,8 @@
 import pytest
 
 from amscheck import (
+    AmscheckError,
+    AtomTable,
     Interval,
     IntervalSet,
     Trace,
@@ -199,3 +201,69 @@ class TestTable:
         p2 = parse_property("{V(v)>5} |-> {x};", name="p2")
         tab = build_table(tr, [p1, p2])
         assert len(tab.atoms()) == 2  # the porv and the boolean signal
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("{V(v)>5} |-> ##[0:1] {V(nope)>1};", UnknownSignalError),
+            ("{V(v)>5} |-> ##[0:1] {@-{ghost}};", UnknownSignalError),
+            ("{V(v)>5} |-> ##[0:1] {V(x)>0.5};", TraceError),
+            ("{V(v)>5} |-> ##[0:1] {@+{v}};", TraceError),
+        ],
+    )
+    def test_consequent_only_atom_checked_eagerly(self, text, error):
+        # no engine work reads these sets, so build_table itself must raise
+        with pytest.raises(error):
+            build_table(line_trace(), parse_property(text))
+
+    def test_unknown_atom_rejected(self):
+        tab = build_table(line_trace(), parse_property("{V(v)>5} |-> {x};"))
+        with pytest.raises(AmscheckError, match="no truth set"):
+            tab.get(porv_of("V(v)>6"))
+
+
+class TestSubDomainTable:
+    """An `AtomTable` over runs that start before its domain, as a stream snapshot is."""
+
+    A_RUN = Interval(1.0, 4.0, True, False)  # crosses the cut at 2
+    B_RUN = Interval(0.0, 3.0)  # touches the stream start at 0
+    C_RUN = Interval(2.0, 3.0)  # starts at the cut, after the stream start
+
+    def table(self, atoms):
+        runs = {
+            A.BoolSignal("a"): [self.A_RUN, Interval(5.0, 6.0)],
+            A.BoolSignal("b"): [self.B_RUN],
+            A.BoolSignal("c"): [self.C_RUN],
+        }
+        return AtomTable(Interval(2.0, 8.0), atoms, runs.__getitem__, edges=Interval(0.0, 8.0))
+
+    def test_run_crossing_the_cut_is_clipped(self):
+        a = A.BoolSignal("a")
+        got = self.table([a]).get(a)
+        assert got == S((2.0, 4.0, True, False), (5.0, 6.0))
+
+    def test_edges_placed_against_stream_start_not_cut(self):
+        pos_a, pos_b, pos_c = (A.EventAtom(A.BoolSignal(n), "pos") for n in "abc")
+        neg_b = A.EventAtom(A.BoolSignal("b"), "neg")
+        tab = self.table([pos_a, pos_b, pos_c, neg_b])
+        # a rose at 1, before the cut, so the point is clipped away; it rose again at 5
+        assert tab.get(pos_a) == S((5.0, 5.0))
+        # b starts at the stream start: no rising edge, although 0 is not the cut
+        assert tab.get(pos_b).is_empty
+        assert tab.get(neg_b) == S((3.0, 3.0))
+        # c rose exactly at the cut, which is not the stream start
+        assert tab.get(pos_c) == S((2.0, 2.0))
+
+    def test_base_runs_computed_once_per_table(self):
+        calls = []
+
+        def runs(base):
+            calls.append(base)
+            return [self.A_RUN]
+
+        a = A.BoolSignal("a")
+        tab = AtomTable(Interval(2.0, 8.0), [a, A.EventAtom(a, "any")], runs)
+        for atom in tab.atoms():
+            tab.get(atom)
+            tab.get(atom)
+        assert calls == [a]

@@ -129,7 +129,7 @@ class TestBeginMatch:
         seq = p.consequent
         em = end_match(seq, tab)
         got = begin_match(seq, em, tab)
-        want = IntervalSet([i.shift(-0.002) for i in em.items])
+        want = IntervalSet(Interval(i.lo - 0.002, i.hi - 0.002, i.lo_closed, i.hi_closed) for i in em.items)
         assert got.approx_eq(want)
 
 

@@ -8,15 +8,14 @@ from amscheck import (
     Interval,
     IntervalSet,
     InvalidDelayError,
-    minkowski_diff,
     minkowski_diff_set,
-    minkowski_sum,
     minkowski_sum_set,
     set_complement,
     set_difference,
     set_intersect,
     set_union,
 )
+from amscheck.intervals import _shift
 
 MS = 1e-3
 
@@ -37,9 +36,9 @@ def subset(a, b, domain):
 class TestIntervalBasics:
     def test_point_interval(self):
         p = I(0.7 * MS, 0.7 * MS)
-        assert p.is_point
+        assert p.lo == p.hi and p.lo_closed and p.hi_closed
         assert not p.is_empty
-        assert p.length == 0.0
+        assert p.hi - p.lo == 0.0
 
     def test_empty_when_reversed(self):
         assert I(2.0, 1.0).is_empty
@@ -64,44 +63,81 @@ class TestIntervalBasics:
 
 
 class TestMinkowski:
+    """The window shifts; the scalar cases are single-component sets."""
+
     def test_sum_basic(self):
-        assert minkowski_sum(I(1.0, 2.0), 0.5, 1.0).approx_eq(I(1.5, 3.0))
+        assert minkowski_sum_set(S((1.0, 2.0)), 0.5, 1.0).approx_eq(S((1.5, 3.0)))
 
     def test_sum_point_window(self):
         # delaying a point match by a window spreads it to the window width
-        got = minkowski_sum(I(0.7 * MS, 0.7 * MS), 1 * MS, 4 * MS)
-        assert got.approx_eq(I(1.7 * MS, 4.7 * MS))
+        got = minkowski_sum_set(S((0.7 * MS, 0.7 * MS)), 1 * MS, 4 * MS)
+        assert got.approx_eq(S((1.7 * MS, 4.7 * MS)))
 
     def test_sum_zero_is_identity(self):
-        iv = I(0.25, 8.5, False, True)
-        assert minkowski_sum(iv, 0.0, 0.0).approx_eq(iv)
+        a = S((0.25, 8.5, False, True))
+        assert minkowski_sum_set(a, 0.0, 0.0) == a
 
     def test_diff_basic(self):
-        got = minkowski_diff(I(3.8 * MS, 5.9 * MS), 1 * MS, 4 * MS)
-        assert got.approx_eq(I(-0.2 * MS, 4.9 * MS))
+        got = minkowski_diff_set(S((3.8 * MS, 5.9 * MS)), 1 * MS, 4 * MS)
+        assert got.approx_eq(S((-0.2 * MS, 4.9 * MS)))
 
     def test_diff_may_cross_zero(self):
-        assert minkowski_diff(I(2.0, 3.0), 2.0, 4.0).approx_eq(I(-2.0, 1.0))
+        assert minkowski_diff_set(S((2.0, 3.0)), 2.0, 4.0).approx_eq(S((-2.0, 1.0)))
 
     def test_flags_preserved(self):
-        iv = I(1.0, 2.0, False, True)
-        s = minkowski_sum(iv, 0.5, 0.5)
-        d = minkowski_diff(iv, 0.5, 0.5)
+        a = S((1.0, 2.0, False, True))
+        (s,) = minkowski_sum_set(a, 0.5, 0.5).items
+        (d,) = minkowski_diff_set(a, 0.5, 0.5).items
         assert (s.lo_closed, s.hi_closed) == (False, True)
         assert (d.lo_closed, d.hi_closed) == (False, True)
 
     @pytest.mark.parametrize("c,d", [(-1.0, 2.0), (3.0, 2.0), (float("nan"), 1.0)])
     def test_invalid_window_rejected(self, c, d):
         with pytest.raises(InvalidDelayError):
-            minkowski_sum(I(0.0, 1.0), c, d)
+            minkowski_sum_set(S((0.0, 1.0)), c, d)
         with pytest.raises(InvalidDelayError):
-            minkowski_diff(I(0.0, 1.0), c, d)
+            minkowski_diff_set(S((0.0, 1.0)), c, d)
 
     def test_set_variants_merge_overlaps(self):
         # widening by the window can fuse neighbouring components
         a = S((0.0, 1.0), (1.5, 2.5))
         got = minkowski_sum_set(a, 0.0, 1.0)
         assert got.approx_eq(S((0.0, 3.5)))
+
+
+def test_shift_matches_per_component_reference():
+    """`_shift` equals shifting each component alone and unioning the results.
+
+    Endpoints and offsets lie on a 0.25 lattice, so membership at lattice
+    points and midpoints is exact and is checked too.  Erosions
+    (``dlo > dhi``) empty short components; dilations make neighbours
+    touch or overlap and merge.
+    """
+    rng = random.Random(60517)
+    emptied = merged = 0
+    for _ in range(2000):
+        comps = []
+        for _ in range(rng.randrange(1, 6)):
+            lo = rng.randrange(0, 41) * 0.25
+            hi = lo + rng.randrange(0, 9) * 0.25
+            comps.append(I(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        a = IntervalSet(comps)
+        dlo, dhi = (rng.randrange(-8, 9) * 0.25 for _ in range(2))
+        got = _shift(a, dlo, dhi)
+
+        moved = [I(c.lo + dlo, c.hi + dhi, c.lo_closed, c.hi_closed) for c in a.items]
+        want = IntervalSet()
+        for iv in moved:
+            want = set_union(want, IntervalSet([iv]))
+        assert got == want, (a, dlo, dhi)
+        assert all(
+            got.contains(t) == any(iv.contains(t) for iv in moved)
+            for t in (k * 0.125 for k in range(-20, 121))
+        ), (a, dlo, dhi)
+        live = sum(not iv.is_empty for iv in moved)
+        emptied += live < len(a)
+        merged += len(got) < live
+    assert emptied > 100 and merged > 100
 
 
 class TestSetOps:

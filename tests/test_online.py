@@ -17,7 +17,6 @@ from amscheck import (
     build_table,
     depth,
     horizon,
-    open_session,
     parse_property,
     pretty,
     set_union,
@@ -180,11 +179,6 @@ class TestProtocol:
         s.feed(0.0, [0.0])
         s.feed(1.0, [6.0])
         assert s.finalize()  # some verdicts exist
-
-    def test_open_session_helper(self):
-        p = parse_property("{V(v)>5} |-> {V(v)>1};")
-        s = open_session([p], {"v": "analog"})
-        assert isinstance(s, Session)
 
 
 class TestObligations:
