@@ -9,9 +9,11 @@ scan can see; sampling must be dense enough to expose them.
 
 The same single-segment state machine drives both the batch evaluator
 here and the incremental trackers used for streaming, so both produce
-identical components by construction.  A streaming tracker may drop its
-completed runs that end before a cut instant (`drop_before`); the runs
-it keeps are still exactly the batch components.
+identical components by construction; the batch evaluator only solves
+the affine crossings of all segments at once, with `_crossing` on arrays.
+A streaming tracker may drop its completed runs that end before a cut
+instant (`drop_before`); the runs it keeps are still exactly the batch
+components.  Runs are component keys (see `intervals`) of Python floats.
 
 One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
@@ -35,7 +37,7 @@ import numpy as np
 from . import ast
 from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
-from .intervals import TIME_TOL, Interval, IntervalSet, set_complement, set_intersect, set_union
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet, set_complement, set_intersect, set_union
 from .trace import Trace
 
 
@@ -53,32 +55,32 @@ class _RunTracker:
     """Completed truth runs in time order, trimmable from the front, plus the open run."""
 
     def __init__(self):
-        self.completed: list[Interval] = []
-        self.run: tuple[float, bool] | None = None  # start and its closedness
+        self.completed: list[Key] = []
+        self.run: tuple[float, bool] | None = None  # start and whether it is open
 
     def _open(self, t: float, closed: bool) -> None:
         if self.run is None:
-            self.run = (t, closed)
+            self.run = (t, not closed)
 
     def _close(self, t: float, closed: bool) -> None:
         if self.run is not None:
-            iv = Interval(self.run[0], t, self.run[1], closed)
-            if not iv.is_empty:
-                self.completed.append(iv)
+            lo, lo_open = self.run
+            if lo < t or (lo == t and closed and not lo_open):
+                self.completed.append((lo, lo_open, t, closed))
             self.run = None
 
     def drop_before(self, cut: float) -> None:
         """Forget completed runs that end before ``cut``."""
         # completed runs are disjoint and in time order, so their ends ascend
-        del self.completed[: bisect.bisect_left(self.completed, cut, key=lambda r: r.hi)]
+        del self.completed[: bisect.bisect_left(self.completed, cut, key=lambda r: r[2])]
 
-    def components(self, t_now: float) -> list[Interval]:
+    def components(self, t_now: float) -> list[Key]:
         """The runs so far, the open one closed at ``t_now``."""
         out = list(self.completed)
         if self.run is not None:
-            iv = Interval(self.run[0], t_now, self.run[1], True)
-            if not iv.is_empty:
-                out.append(iv)
+            lo, lo_open = self.run
+            if lo < t_now or (lo == t_now and not lo_open):
+                out.append((lo, lo_open, t_now, True))
         return out
 
 
@@ -99,6 +101,7 @@ class PorvTracker(_RunTracker):
     # -- crossing refinement --------------------------------------------
 
     def _crossing(self, t0, g0, v0, t1, g1, v1) -> float:
+        # the affine solve takes floats or, for many segments at once, arrays
         if self.affine:
             return t0 + (t1 - t0) * g0 / (g0 - g1)
         lo, hi = t0, t1
@@ -127,20 +130,24 @@ class PorvTracker(_RunTracker):
     def advance(self, t1: float, vals: dict[str, float]) -> None:
         v1 = {s: vals[s] for s in self.signals}
         g1 = eval_expr(self.porv.expr, v1)
-        self.segment(self.prev_t, self.prev_g, self.prev_vals, t1, g1, v1)
+        t0, g0 = self.prev_t, self.prev_g
+        crosses = g0 != 0 and g1 != 0 and (g0 > 0) != (g1 > 0)
+        tc = self._crossing(t0, g0, self.prev_vals, t1, g1, v1) if crosses else None
+        self.segment(t0, g0, t1, g1, tc)
         self.prev_t, self.prev_g, self.prev_vals = t1, g1, v1
 
-    def segment(self, t0, g0, v0, t1, g1, v1) -> None:
-        """Apply one sample-to-sample segment to the run state."""
+    def segment(self, t0, g0, t1, g1, tc) -> None:
+        """Apply one sample-to-sample segment to the run state; ``tc`` is its
+        zero crossing, read only when ``g0`` and ``g1`` have opposite signs."""
         ge = self.ge
         s0 = 0 if g0 == 0 else (1 if g0 > 0 else -1)
         s1 = 0 if g1 == 0 else (1 if g1 > 0 else -1)
         if s0 == s1:
             return  # uniform sign or plateau: state unchanged
         if s0 > 0 and s1 < 0:
-            self._close(self._crossing(t0, g0, v0, t1, g1, v1), ge)
+            self._close(tc, ge)
         elif s0 < 0 and s1 > 0:
-            self._open(self._crossing(t0, g0, v0, t1, g1, v1), ge)
+            self._open(tc, ge)
         elif s0 > 0:  # s1 == 0
             if not ge:
                 self._close(t1, False)
@@ -182,28 +189,37 @@ class BoolTracker(_RunTracker):
 # Batch evaluation over a full trace
 
 
-def _porv_components(trace: Trace, porv: ast.Porv, eps: float) -> list[Interval]:
+def _porv_components(trace: Trace, porv: ast.Porv, eps: float) -> list[Key]:
     sigs = _check_analog(trace, porv)
     times = trace.times()
     tracker = PorvTracker(porv, eps)
     if not sigs:
         g = float(eval_expr(porv.expr, {}))
         member = (g >= 0) if porv.rel == ">=" else (g > 0)
-        return [trace.domain] if member else []
+        return [trace.domain.key] if member else []
     arrays = {s: trace.values(s) for s in sigs}
     g = np.asarray(eval_expr(porv.expr, arrays), dtype=float)
     sign = np.sign(g)
-    tracker.begin(times[0], {s: arrays[s][0] for s in sigs})
+    tracker.begin(times.item(0), {s: arrays[s][0] for s in sigs})
     # only segments with a sign change or a zero endpoint can move the state
     hot = np.nonzero((sign[:-1] != sign[1:]) | (sign[:-1] == 0))[0]
-    for i in hot:
-        v0 = {s: arrays[s][i] for s in sigs}
-        v1 = {s: arrays[s][i + 1] for s in sigs}
-        tracker.segment(times[i], g[i], v0, times[i + 1], g[i + 1], v1)
-    return tracker.components(times[-1])
+    t0, t1, g0, g1 = times[hot], times[hot + 1], g[hot], g[hot + 1]
+    if tracker.affine:
+        with np.errstate(divide="ignore", invalid="ignore"):  # segments that do not cross
+            tc = tracker._crossing(t0, g0, None, t1, g1, None)
+    else:
+        tc = np.zeros(len(hot))
+        for k in np.nonzero((g0 != 0) & (g1 != 0))[0]:  # the sign changes: bisect each
+            i = hot[k]
+            v0 = {s: arrays[s][i] for s in sigs}
+            v1 = {s: arrays[s][i + 1] for s in sigs}
+            tc[k] = tracker._crossing(t0[k], g0[k], v0, t1[k], g1[k], v1)
+    for seg in zip(t0.tolist(), g0.tolist(), t1.tolist(), g1.tolist(), tc.tolist()):
+        tracker.segment(*seg)
+    return tracker.components(times.item(-1))
 
 
-def _bool_components(trace: Trace, name: str) -> list[Interval]:
+def _bool_components(trace: Trace, name: str) -> list[Key]:
     if trace.kinds.get(name) != "boolean":
         if name not in trace.signals:
             raise UnknownSignalError(f"trace has no signal {name!r}")
@@ -211,28 +227,26 @@ def _bool_components(trace: Trace, name: str) -> list[Interval]:
     times = trace.times()
     vals = trace.values(name)
     tracker = BoolTracker(name)
-    tracker.begin(times[0], {name: vals[0]})
+    tracker.begin(times.item(0), {name: vals.item(0)})
     hot = np.nonzero(vals[:-1] != vals[1:])[0]
-    for i in hot:
-        tracker.prev = vals[i]
-        tracker.advance(times[i + 1], {name: vals[i + 1]})
-    return tracker.components(times[-1])
+    for t, prev, v in zip(times[hot + 1].tolist(), vals[hot].tolist(), vals[hot + 1].tolist()):
+        tracker.prev = prev
+        tracker.advance(t, {name: v})
+    return tracker.components(times.item(-1))
 
 
-def event_points(components: list[Interval], edges: Interval, edge: str) -> list[Interval]:
-    """Point intervals at qualifying truth boundaries.
+def event_points(components: list[Key], edges: Interval, edge: str) -> list[Key]:
+    """Closed points at qualifying truth boundaries.
 
     A run that starts at ``edges.lo`` has no pos edge, and one that ends
     closed at ``edges.hi`` has no neg edge: there is no trace outside.
     """
-    pts: list[Interval] = []
-    for comp in components:
-        if edge in ("pos", "any") and comp.lo > edges.lo:
-            pts.append(Interval(comp.lo, comp.lo))
-        if edge in ("neg", "any") and (
-            comp.hi < edges.hi or (comp.hi == edges.hi and not comp.hi_closed)
-        ):
-            pts.append(Interval(comp.hi, comp.hi))
+    pts: list[Key] = []
+    for lo, _, hi, hi_closed in components:
+        if edge in ("pos", "any") and lo > edges.lo:
+            pts.append((lo, False, lo, True))
+        if edge in ("neg", "any") and (hi < edges.hi or (hi == edges.hi and not hi_closed)):
+            pts.append((hi, False, hi, True))
     return pts
 
 
@@ -240,20 +254,21 @@ class AtomTable:
     """Truth sets for every leaf atom of a property group, plus the domain.
 
     An atom's set is built on its first `get`.  ``runs(base)`` gives the
-    truth runs of a predicate or digital signal in time order, computed
-    once per base; an event atom takes its points from them, placed
-    against ``edges`` (the domain unless given).  Only the first run may
-    start before the domain, and it is clipped to it.
+    truth runs of a predicate or digital signal in time order, as
+    component keys or as `Interval`s, computed once per base; an event
+    atom takes its points from them, placed against ``edges`` (the domain
+    unless given).  Only the first run may start before the domain, and
+    it is clipped to it.
     """
 
-    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list[Interval]],
+    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list],
                  edges: Interval | None = None, eps: float = TIME_TOL):
         self.domain = domain
         self.eps = eps
         self._atoms = dict.fromkeys(atoms)
         self._runs = runs
         self._edges = domain if edges is None else edges
-        self._base: dict[ast.Atom, list[Interval]] = {}
+        self._base: dict[ast.Atom, list[Key]] = {}
         self._sets: dict[ast.Atom, IntervalSet] = {}
 
     def get(self, atom: ast.Atom) -> IntervalSet:
@@ -263,13 +278,14 @@ class AtomTable:
                 raise AmscheckError(f"no truth set for atom {atom}")
             base = atom.pred if isinstance(atom, ast.EventAtom) else atom
             if base not in self._base:
-                self._base[base] = self._runs(base)
+                runs = self._runs(base)
+                self._base[base] = [r.key for r in runs] if runs and isinstance(runs[0], Interval) else runs
             comps = self._base[base]
             if isinstance(atom, ast.EventAtom):
                 comps = event_points(comps, self._edges, atom.edge)
-            if comps and comps[0].lo < self.domain.lo:
-                comps = [comps[0].intersect(self.domain), *comps[1:]]
-            got = self._sets[atom] = IntervalSet(comps, self.eps)
+            if comps and comps[0][0] < self.domain.lo:
+                comps = [_meet(comps[0], self.domain.key), *comps[1:]]
+            got = self._sets[atom] = IntervalSet.from_keys(comps, self.eps)
         return got
 
     def atoms(self) -> tuple[ast.Atom, ...]:
@@ -277,7 +293,7 @@ class AtomTable:
 
 
 def _trace_table(trace: Trace, atoms: Iterable[ast.Atom], eps: float) -> AtomTable:
-    def runs(base: ast.Atom) -> list[Interval]:
+    def runs(base: ast.Atom) -> list[Key]:
         if isinstance(base, ast.Porv):
             return _porv_components(trace, base, eps)
         return _bool_components(trace, base.name)

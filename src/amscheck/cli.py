@@ -35,8 +35,39 @@ def _interval_row(iv: Interval) -> list:
     return [iv.lo, iv.hi, iv.lo_closed, iv.hi_closed]
 
 
-def _set_rows(s: IntervalSet) -> list:
-    return [_interval_row(iv) for iv in s.items]
+# The check report as json.dumps(doc, indent=2, sort_keys=True) writes it.  That
+# call runs the pure-Python encoder, so the verdict rows are written here from
+# the component keys instead.  Every endpoint lies in the trace domain, which
+# is finite, so json would write it with float.__repr__ too.
+_ROW = "        [\n          %s,\n          %s,\n          %s,\n          %s\n        ]"
+_ASSERTION = (
+    '    {\n      "fail": %s,\n      "horizon": %s,\n      "name": %s,\n      "nonvacuous": %s,\n'
+    '      "undetermined": %s,\n      "vacuous": %s\n    }'
+)
+_BOOL = ("false", "true")
+
+
+def _rows_text(s: IntervalSet) -> str:
+    if not s:
+        return "[]"
+    num = float.__repr__
+    rows = [_ROW % (num(lo), num(hi), _BOOL[not lo_open], _BOOL[hi_closed]) for lo, lo_open, hi, hi_closed in s.keys]
+    return "[\n" + ",\n".join(rows) + "\n      ]"
+
+
+def write_report(f, trace_path: str, domain: Interval, time_tol: float, reports) -> None:
+    """Write the ``check --report`` JSON document for these `MatchReport`s, one assertion at a time."""
+    rest = json.dumps(
+        {"domain": [domain.lo, domain.hi], "time_tol": time_tol, "trace": trace_path, "version": REPORT_VERSION},
+        indent=2,
+        sort_keys=True,
+    )
+    f.write('{\n  "assertions": [')
+    for i, r in enumerate(reports):
+        f.write((",\n" if i else "\n") + _ASSERTION % (
+            _rows_text(r.fail), json.dumps(r.horizon), json.dumps(r.name), _rows_text(r.nonvacuous),
+            _rows_text(r.undetermined), _rows_text(r.vacuous)))
+    f.write(("\n  ]," if reports else "],") + rest[1:] + "\n")
 
 
 def _load_assertions(path: str, value_tol: float):
@@ -62,36 +93,18 @@ def cmd_check(args) -> int:
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     table = build_table(trace, props, eps=args.time_tol)
     reports = [assertion_match(p, table) for p in props]
-    doc = {
-        "version": REPORT_VERSION,
-        "trace": args.trace,
-        "domain": [trace.domain.lo, trace.domain.hi],
-        "time_tol": args.time_tol,
-        "assertions": [
-            {
-                "name": r.name,
-                "horizon": r.horizon,
-                "nonvacuous": _set_rows(r.nonvacuous),
-                "vacuous": _set_rows(r.vacuous),
-                "fail": _set_rows(r.fail),
-                "undetermined": _set_rows(r.undetermined),
-            }
-            for r in reports
-        ],
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w") as f:
-            f.write(text + "\n")
+            write_report(f, args.trace, trace.domain, args.time_tol, reports)
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "FAIL" if not r.fail.is_empty else "PASS"
         print(
-            f"{r.name:<{width}}  {status}  match={len(r.nonvacuous.items)}"
-            f" vacuous={len(r.vacuous.items)} fail={len(r.fail.items)}"
-            f" undetermined={len(r.undetermined.items)}"
+            f"{r.name:<{width}}  {status}  match={len(r.nonvacuous)}"
+            f" vacuous={len(r.vacuous)} fail={len(r.fail)}"
+            f" undetermined={len(r.undetermined)}"
         )
-        for iv in r.fail.items:
+        for iv in r.fail:
             print(f"{'':<{width}}  fail at {iv}")
     return 1 if any(not r.fail.is_empty for r in reports) else 0
 
@@ -159,7 +172,7 @@ def cmd_stream(args) -> int:
     }
     summary = {
         "summary": {
-            name: {kind: _set_rows(s) for kind, s in sorted(per.items())}
+            name: {kind: [_interval_row(iv) for iv in s] for kind, s in sorted(per.items())}
             for name, per in sorted(merged.items())
         }
     }

@@ -6,6 +6,14 @@ complementation, survive every operation exactly.  Sets are kept
 normalized: components sorted, pairwise disjoint, and coalesced when
 they overlap or touch within the endpoint tolerance.
 
+An `IntervalSet` stores each component as a plain key tuple
+``(lo, lo_open, hi, hi_closed)`` with boolean flags.  A closed left end
+reaches further left than an open one at the same value, so native
+tuple order sorts components by start, then by end.  The operations work
+on keys only and leave empty pieces for normalization to drop.
+`Interval` is the scalar view of one component, which the `IntervalSet`
+constructor takes and `IntervalSet.items` builds on first use.
+
 The algebra has five operations: normalization (`IntervalSet`),
 `set_intersect`, `set_union`, `set_complement` (with `set_difference`
 built from the last two), and one shift, `_shift`, that moves every
@@ -31,8 +39,11 @@ from .errors import DomainError, InvalidDelayError
 #: Default endpoint comparison / coalescing tolerance, in seconds.
 TIME_TOL = 1e-9
 
+#: One component as ``(lo, lo_open, hi, hi_closed)``; see the module docstring.
+Key = tuple[float, bool, float, bool]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A convex subset of the real line with open/closed endpoints.
 
@@ -55,47 +66,28 @@ class Interval:
             object.__setattr__(self, "lo_closed", False)
             object.__setattr__(self, "hi_closed", False)
 
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_key(cls, k: Key) -> "Interval":
+        return cls(k[0], k[2], not k[1], k[3])
+
+    @property
+    def key(self) -> Key:
+        return (self.lo, not self.lo_closed, self.hi, bool(self.hi_closed))
 
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
     def contains(self, t: float) -> bool:
-        if self.is_empty:
-            return False
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    # Endpoint ordering keys.  At equal value a closed left endpoint
-    # extends further left than an open one; symmetrically for right.
-    def _lkey(self) -> tuple[float, int]:
-        return (self.lo, 0 if self.lo_closed else 1)
-
-    def _rkey(self) -> tuple[float, int]:
-        return (self.hi, 1 if self.hi_closed else 0)
+        return _contains(self.key, t)
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return EMPTY
-        lo, lof = max(self._lkey(), other._lkey())
-        hi, hif = min(self._rkey(), other._rkey())
-        return Interval(lo, hi, lof == 0, hif == 1)
+        return Interval.from_key(_meet(self.key, other.key))
 
     def approx_eq(self, other: "Interval", tol: float = TIME_TOL) -> bool:
         if self.is_empty or other.is_empty:
             return self.is_empty and other.is_empty
-        return (
-            abs(self.lo - other.lo) <= tol
-            and abs(self.hi - other.hi) <= tol
-            and self.lo_closed == other.lo_closed
-            and self.hi_closed == other.hi_closed
-        )
+        return _approx_eq(self.key, other.key, tol)
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -108,12 +100,27 @@ class Interval:
 EMPTY = Interval(math.inf, -math.inf, False, False)
 
 
+def _contains(k: Key, t: float) -> bool:
+    return (k[0] < t or (k[0] == t and not k[1])) and (t < k[2] or (t == k[2] and k[3]))
+
+
+def _approx_eq(x: Key, y: Key, tol: float) -> bool:
+    return abs(x[0] - y[0]) <= tol and abs(x[2] - y[2]) <= tol and x[1] == y[1] and x[3] == y[3]
+
+
+def _meet(x: Key, y: Key) -> Key:
+    """The intersection of two components: the later start and the earlier end (maybe empty)."""
+    lo = y[:2] if y[:2] > x[:2] else x[:2]
+    hi = y[2:] if y[2:] < x[2:] else x[2:]
+    return lo + hi
+
+
 def _check_delay(c: float, d: float) -> None:
     if not 0 <= c <= d:
         raise InvalidDelayError(f"delay window [{c}:{d}] needs 0 <= c <= d")
 
 
-def _normalize(items: Iterable[Interval], eps: float) -> tuple[Interval, ...]:
+def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
     """Sort, drop empties, and coalesce overlapping or touching components.
 
     Two components touching at a single shared endpoint merge only if at
@@ -121,47 +128,49 @@ def _normalize(items: Iterable[Interval], eps: float) -> tuple[Interval, ...]:
     genuine puncture.  Endpoints that differ by no more than ``eps`` but
     are not identical are treated as numeric noise and merged.
     """
-    live = sorted(
-        (
-            i
-            for i in items
-            if not i.is_empty
-            # a sub-eps sliver that is not a closed point is numeric noise
-            and (i.hi - i.lo > eps or (i.lo_closed and i.hi_closed))
-        ),
-        key=lambda i: i._lkey() + i._rkey(),
-    )
+    live = [
+        k
+        for k in keys
+        # non-empty, and a sub-eps sliver only when it is a closed point
+        if (k[0] < k[2] and k[2] - k[0] > eps) or (k[0] <= k[2] and not k[1] and k[3])
+    ]
     if not live:
         return ()
-    out: list[Interval] = [live[0]]
-    for nxt in live[1:]:
-        cur = out[-1]
-        if nxt.lo > cur.hi + eps:
-            out.append(nxt)
-            continue
-        if (
-            nxt.lo == cur.hi
-            and not cur.hi_closed
-            and not nxt.lo_closed
-            and nxt.lo > cur.lo
-            and cur.hi < nxt.hi
-        ):
-            # exact single-point gap such as [a:c) (c:b]
-            out.append(nxt)
-            continue
-        lo, lof = min(cur._lkey(), nxt._lkey())
-        hi, hif = max(cur._rkey(), nxt._rkey())
-        out[-1] = Interval(lo, hi, lof == 0, hif == 1)
+    live.sort()
+    out: list[Key] = []
+    rest = iter(live)
+    lo, lo_open, hi, hi_closed = next(rest)
+    for k in rest:
+        if k[0] > hi + eps or (k[0] == hi and not hi_closed and k[1] and k[0] > lo and hi < k[2]):
+            # a gap, or an exact single-point gap such as [a:c) (c:b]
+            out.append((lo, lo_open, hi, hi_closed))
+            lo, lo_open, hi, hi_closed = k
+        elif k[2] > hi or (k[2] == hi and k[3] and not hi_closed):
+            hi, hi_closed = k[2], k[3]
+    out.append((lo, lo_open, hi, hi_closed))
     return tuple(out)
 
 
 class IntervalSet:
-    """Normalized finite union of intervals."""
+    """Normalized finite union of intervals, stored as component keys."""
 
-    __slots__ = ("items",)
+    __slots__ = ("keys", "_items")
 
     def __init__(self, items: Iterable[Interval] = (), eps: float = TIME_TOL):
-        self.items: tuple[Interval, ...] = _normalize(items, eps)
+        self.keys: tuple[Key, ...] = _normalize([i.key for i in items], eps)
+        self._items: tuple[Interval, ...] | None = None
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[Key], eps: float = TIME_TOL) -> "IntervalSet":
+        s = cls.__new__(cls)
+        s.keys, s._items = _normalize(keys, eps), None
+        return s
+
+    @property
+    def items(self) -> tuple[Interval, ...]:
+        if self._items is None:
+            self._items = tuple(map(Interval.from_key, self.keys))
+        return self._items
 
     # -- basic protocol -------------------------------------------------
 
@@ -169,51 +178,55 @@ class IntervalSet:
         return iter(self.items)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.keys)
 
     def __bool__(self) -> bool:
-        return bool(self.items)
+        return bool(self.keys)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.items == other.items
+        return isinstance(other, IntervalSet) and self.keys == other.keys
 
     def __hash__(self) -> int:
-        return hash(self.items)
+        return hash(self.keys)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(i) for i in self.items) + "}"
 
     @property
     def is_empty(self) -> bool:
-        return not self.items
+        return not self.keys
 
     def contains(self, t: float) -> bool:
-        return any(i.contains(t) for i in self.items)
+        return any(_contains(k, t) for k in self.keys)
 
     def approx_eq(self, other: "IntervalSet", tol: float = TIME_TOL) -> bool:
-        return len(self.items) == len(other.items) and all(
-            a.approx_eq(b, tol) for a, b in zip(self.items, other.items)
+        return len(self.keys) == len(other.keys) and all(
+            _approx_eq(x, y, tol) for x, y in zip(self.keys, other.keys)
         )
 
 
 def set_union(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> IntervalSet:
-    return IntervalSet(a.items + b.items, eps)
+    return IntervalSet.from_keys(a.keys + b.keys, eps)
 
 
 def set_intersect(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> IntervalSet:
-    out: list[Interval] = []
+    out: list[Key] = []
     i = j = 0
-    ai, bi = a.items, b.items
-    while i < len(ai) and j < len(bi):
-        piece = ai[i].intersect(bi[j])
-        if not piece.is_empty:
-            out.append(piece)
-        # advance whichever component ends first
-        if ai[i]._rkey() <= bi[j]._rkey():
+    ak, bk = a.keys, b.keys
+    na, nb = len(ak), len(bk)
+    while i < na and j < nb:
+        # `_meet`, unrolled: the later start, then the earlier end, whose side advances
+        lo, lo_open, x_hi, x_closed = ak[i]
+        y_lo, y_open, y_hi, y_closed = bk[j]
+        if y_lo > lo or (y_lo == lo and y_open > lo_open):
+            lo, lo_open = y_lo, y_open
+        if x_hi < y_hi or (x_hi == y_hi and x_closed <= y_closed):
+            out.append((lo, lo_open, x_hi, x_closed))
             i += 1
         else:
+            out.append((lo, lo_open, y_hi, y_closed))
             j += 1
-    return IntervalSet(out, eps)
+    return IntervalSet.from_keys(out, eps)
 
 
 def set_complement(a: IntervalSet, domain: Interval, eps: float = TIME_TOL) -> IntervalSet:
@@ -222,20 +235,18 @@ def set_complement(a: IntervalSet, domain: Interval, eps: float = TIME_TOL) -> I
         if a.is_empty:
             return IntervalSet()
         raise DomainError("complement of a non-empty set within an empty domain")
-    for comp in a.items:
-        if comp.lo < domain.lo - eps or comp.hi > domain.hi + eps:
-            raise DomainError(f"component {comp} lies outside domain {domain}")
-    out: list[Interval] = []
-    cur_lo, cur_closed = domain.lo, domain.lo_closed
-    for comp in a.items:
-        gap = Interval(cur_lo, comp.lo, cur_closed, not comp.lo_closed)
-        if not gap.is_empty:
-            out.append(gap)
-        cur_lo, cur_closed = comp.hi, not comp.hi_closed
-    tail = Interval(cur_lo, domain.hi, cur_closed, domain.hi_closed)
-    if not tail.is_empty:
-        out.append(tail)
-    return IntervalSet(out, eps)
+    for k in a.keys:
+        if k[0] < domain.lo - eps or k[2] > domain.hi + eps:
+            raise DomainError(f"component {Interval.from_key(k)} lies outside domain {domain}")
+    # each gap runs from the previous component's end to the next one's
+    # start; a closed end of one is an open start of the other
+    out: list[Key] = []
+    cur_lo, cur_open = domain.lo, not domain.lo_closed
+    for lo, lo_open, hi, hi_closed in a.keys:
+        out.append((cur_lo, cur_open, lo, lo_open))
+        cur_lo, cur_open = hi, hi_closed
+    out.append((cur_lo, cur_open, domain.hi, bool(domain.hi_closed)))
+    return IntervalSet.from_keys(out, eps)
 
 
 def set_difference(
@@ -250,7 +261,7 @@ def _shift(a: IntervalSet, dlo: float, dhi: float, eps: float = TIME_TOL) -> Int
     With ``dlo > dhi`` components shrink, and one that becomes empty or
     a sub-eps sliver drops out; with ``dlo < dhi`` neighbours may merge.
     """
-    return IntervalSet((Interval(i.lo + dlo, i.hi + dhi, i.lo_closed, i.hi_closed) for i in a.items), eps)
+    return IntervalSet.from_keys([(lo + dlo, lo_open, hi + dhi, hc) for lo, lo_open, hi, hc in a.keys], eps)
 
 
 def minkowski_sum_set(a: IntervalSet, c: float, d: float, eps: float = TIME_TOL) -> IntervalSet:

@@ -34,11 +34,11 @@ from . import ast
 from .atoms import AtomTable, BoolTracker, PorvTracker
 from .engine import _Evaluator, classify
 from .errors import ProtocolError, UnknownSignalError
-from .intervals import TIME_TOL, Interval, IntervalSet, set_intersect
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, set_intersect
 from .trace import KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     name: str
     kind: str  # match | vacuous-end | fail | undetermined
@@ -46,7 +46,7 @@ class Verdict:
     decided_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obligation:
     name: str
     component: Interval
@@ -62,7 +62,7 @@ class _PropState:
         self.horizon = ast.horizon(prop)
         self.lookback = ast.depth(prop.antecedent) + self.horizon
         self.frontier = float("-inf")
-        self.vacuous: list[Interval] = []  # vacuous components up to the frontier, normalized
+        self.vacuous: list[Key] = []  # vacuous components up to the frontier, normalized
 
 
 class Session:
@@ -158,7 +158,7 @@ class Session:
                 continue
             if ev is None:
                 ev = _Evaluator(self._snapshot())
-            out.extend(Verdict(st.name, kind, comp, t) for comp, kind in self._decide(st, ev, upto))
+            out.extend(Verdict(st.name, kind, Interval.from_key(k), t) for k, kind in self._decide(st, ev, upto))
         if ev is not None:
             self._trim()
         return out
@@ -173,9 +173,8 @@ class Session:
         ev = _Evaluator(self._snapshot())
         out: list[Verdict] = []
         for st in self.props:
-            chunks = self._decide(st, ev, self._t) + [(c, "vacuous-end") for c in st.vacuous]
-            chunks.sort(key=lambda c: c[0]._lkey())
-            out.extend(Verdict(st.name, kind, comp, self._t) for comp, kind in chunks)
+            chunks = sorted(self._decide(st, ev, self._t) + [(k, "vacuous-end") for k in st.vacuous])
+            out.extend(Verdict(st.name, kind, Interval.from_key(k), self._t) for k, kind in chunks)
         return out
 
     def pending_obligations(self) -> list[Obligation]:
@@ -205,11 +204,12 @@ class Session:
 
     # -- internals ------------------------------------------------------
 
-    def _decide(self, st: _PropState, ev: _Evaluator, upto: float) -> list[tuple[Interval, str]]:
+    def _decide(self, st: _PropState, ev: _Evaluator, upto: float) -> list[tuple[Key, str]]:
         """Classify (frontier, upto] and move the frontier to ``upto``.
 
         Vacuous pieces join the held list; the match, fail and
-        undetermined pieces are returned in time order.
+        undetermined pieces are returned in time order, as component
+        keys with their kind.  The kinds are disjoint, so no two keys tie.
         """
         window = Interval(st.frontier, upto, False, True).intersect(ev.domain)
         st.frontier = upto
@@ -218,10 +218,9 @@ class Session:
         rep = classify(ev, st.prop, st.name, window)
         if rep.vacuous:
             # pieces arrive in time order: only the last held one can merge
-            st.vacuous[-1:] = IntervalSet([*st.vacuous[-1:], *rep.vacuous.items], self.eps).items
+            st.vacuous[-1:] = IntervalSet.from_keys([*st.vacuous[-1:], *rep.vacuous.keys], self.eps).keys
         kinds = (("match", rep.nonvacuous), ("fail", rep.fail), ("undetermined", rep.undetermined))
-        chunks = [(c, kind) for kind, pieces in kinds for c in pieces]
-        return sorted(chunks, key=lambda c: c[0]._lkey())
+        return sorted((k, kind) for kind, pieces in kinds for k in pieces.keys)
 
     def _trim(self) -> None:
         cut = min([st.frontier - st.lookback for st in self.props]) - 2 * self.eps

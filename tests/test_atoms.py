@@ -1,7 +1,10 @@
 """Atom truth-interval extraction tests: predicates, booleans, events."""
 
+import random
+
 import pytest
 
+from _corpus import _porv, iter_cases, random_trace
 from amscheck import (
     AmscheckError,
     AtomTable,
@@ -10,6 +13,7 @@ from amscheck import (
     Trace,
     TraceError,
     UnknownSignalError,
+    assertion_match,
     bool_truth,
     build_table,
     event_truth,
@@ -17,7 +21,8 @@ from amscheck import (
     porv_truth,
 )
 from amscheck import ast as A
-from amscheck.atoms import bexpr_truth
+from amscheck.atoms import PorvTracker, _porv_components, bexpr_truth
+from amscheck.expr import BinOp, Const, SignalRef
 from amscheck.wavegen import fixture_trace
 
 MS = 1e-3
@@ -267,3 +272,64 @@ class TestSubDomainTable:
             tab.get(atom)
             tab.get(atom)
         assert calls == [a]
+
+
+def fed_components(porv, tr):
+    """The truth runs of a sample-by-sample `PorvTracker` feed, as streaming builds them."""
+    tracker = PorvTracker(porv)
+    times = tr.times().tolist()
+    cols = {s: tr.values(s).tolist() for s in tr.signals}
+    tracker.begin(times[0], {s: c[0] for s, c in cols.items()})
+    for i in range(1, len(times)):
+        tracker.advance(times[i], {s: c[i] for s, c in cols.items()})
+    return tracker.components(times[-1])
+
+
+def test_batch_runs_equal_sample_feed_bit_for_bit():
+    """The batch evaluator solves all affine crossings in one numpy expression
+    and bisects non-affine ones; a feed solves each segment on its own.  Some
+    samples sit exactly on the threshold, so zero endpoints are exercised."""
+    rng = random.Random(4242)
+    zeros = nonaffine = 0
+    for case in range(300):
+        tr = random_trace(rng)
+        names = list(tr.signals)
+        if case % 10 == 0:
+            porv = A.Porv(BinOp("-", BinOp("*", SignalRef(names[0]), SignalRef(names[1])), Const(0.3)),
+                          rng.choice([">", ">="]))
+            nonaffine += 1
+        else:
+            porv = _porv(rng, names)
+        cols = {n: tr.values(n).tolist() for n in names}
+        if case % 10:
+            # scale * v - (scale * thresh) is exactly zero at v = thresh
+            (mul, const), name = (porv.expr.left.left, porv.expr.right), porv.expr.left.right.name
+            for i in rng.sample(range(len(tr)), min(len(tr), rng.randint(0, 4))):
+                cols[name][i] = const.value / mul.value
+                zeros += 1
+        tr = Trace(tr.times(), cols)
+        batch, fed = _porv_components(tr, porv, 1e-9), fed_components(porv, tr)
+        assert repr(batch) == repr(fed), (case, porv)
+    assert zeros > 300 and nonaffine == 30
+
+
+def test_endpoints_are_python_floats():
+    """Endpoints reach reports and `%r` as plain floats, not numpy scalars."""
+    def all_sets(tr, props):
+        tab = build_table(tr, props)
+        yield from (tab.get(a) for a in tab.atoms())
+        for p in props:
+            rep = assertion_match(p, tab)
+            yield from (rep.nonvacuous, rep.vacuous, rep.fail, rep.undetermined)
+
+    square = TestBool().square_trace()
+    events = [parse_property(f"{{{e}}} |-> {{d}};") for e in ("@+{d}", "@-{d}", "@{d==1}")]
+    cases = [(tr, [p]) for tr, p, _ in iter_cases(40, seed=77)] + [(square, events)]
+    cases.append((line_trace(), [parse_property(f"{{{e}}} |-> {{x}};") for e in ("@+{V(v)>5}", "@-{V(v)>5}")]))
+    seen = 0
+    for tr, props in cases:
+        for s in all_sets(tr, props):
+            for iv in s:
+                assert type(iv.lo) is float and type(iv.hi) is float, (props, iv)
+                seen += 1
+    assert seen > 500

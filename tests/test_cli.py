@@ -2,12 +2,14 @@
 
 import io
 import json
+import random
 
 import pytest
 
-from amscheck.cli import main
+from amscheck.cli import main, write_report
+from amscheck.engine import MatchReport
 from amscheck.wavegen import fixture_trace
-from amscheck import save_csv
+from amscheck import Interval, IntervalSet, save_csv
 
 SETTLING = (
     "settling: @+{V(Vout)>0.12} |-> ##[0.001:0.004] "
@@ -63,6 +65,40 @@ class TestCheck:
         main(["check", str(trace), str(props), "--report", str(r1)])
         main(["check", str(trace), str(props), "--report", str(r2)])
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_report_writer_equals_json_dumps(self):
+        """`write_report` writes the verdict rows itself; it must write what
+        json.dumps(doc, indent=2, sort_keys=True) writes for the same report."""
+        rng = random.Random(31)
+
+        def rand_set():
+            ends = sorted(rng.uniform(0, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(2 * rng.randint(0, 4)))
+            return IntervalSet(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5) for lo, hi in zip(ends[::2], ends[1::2]))
+
+        odd = IntervalSet([Interval(-0.0, 5e-324), Interval(1e-300, 0.5, False, True), Interval(0.75, 0.75),
+                           Interval(2.0, 1e300, True, False)])
+        domain = Interval(-0.0, 1e300)
+        reports = [
+            MatchReport('a "quoted" \\ näme ✓', domain, odd, IntervalSet(), IntervalSet([Interval(1e300, 1e300)]),
+                        IntervalSet(), 0.25),
+            MatchReport("empty", domain, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(), 0.0),
+        ] + [MatchReport(f"r{i}", domain, rand_set(), rand_set(), rand_set(), rand_set(), rng.random()) for i in range(30)]
+        kinds = ("nonvacuous", "vacuous", "fail", "undetermined")
+        for path, reps in (('dir\\"tr\u00e2ce"\n.csv', reports), ("t.csv", reports[1:2]), ("t.csv", [])):
+            doc = {
+                "version": 1,
+                "trace": path,
+                "domain": [domain.lo, domain.hi],
+                "time_tol": 1e-9,
+                "assertions": [
+                    {"name": r.name, "horizon": r.horizon,
+                     **{k: [[iv.lo, iv.hi, iv.lo_closed, iv.hi_closed] for iv in getattr(r, k)] for k in kinds}}
+                    for r in reps
+                ],
+            }
+            out = io.StringIO()
+            write_report(out, path, domain, 1e-9, reps)
+            assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_failing_run_exit_one(self, escape_files, capsys):
         trace, props = escape_files

@@ -199,6 +199,19 @@ def rand_set(rng: random.Random) -> IntervalSet:
     return IntervalSet(rand_interval(rng) for _ in range(rng.randrange(0, 5)))
 
 
+# Lattice points and midpoints of the 0.25 lattice, inside and around DOMAIN.
+PROBES = [k * 0.125 for k in range(-4, 85)]
+
+
+def normal_form(s: IntervalSet, eps: float = 1e-9) -> bool:
+    """Components non-empty and sorted, separated by more than eps or by an
+    exact open/open puncture; the `Interval` views round-trip to the keys."""
+    keys = s.keys
+    ok = all(lo < hi or (lo == hi and not lo_open and hi_closed) for lo, lo_open, hi, hi_closed in keys)
+    ok = ok and all(y[0] > x[2] + eps or (y[0] == x[2] and not x[3] and y[1]) for x, y in zip(keys, keys[1:]))
+    return ok and tuple(iv.key for iv in s.items) == keys and IntervalSet(s.items) == s
+
+
 def run_law_suite(n_triples: int, seed: int = 20240917) -> int:
     """Check the interval algebra laws on random sets; returns cases run."""
     rng = random.Random(seed)
@@ -241,6 +254,15 @@ def run_law_suite(n_triples: int, seed: int = 20240917) -> int:
             IntervalSet([DOMAIN])
         )
         cases += 2
+
+        # each operation is the pointwise Boolean one on its operands, in normal form
+        union, inter = set_union(a, b), set_intersect(a, b)
+        assert all(normal_form(x) for x in (a, union, inter, ca)), (a, b)
+        for t in PROBES:
+            assert union.contains(t) == (a.contains(t) or b.contains(t)), (a, b, t)
+            assert inter.contains(t) == (a.contains(t) and b.contains(t)), (a, b, t)
+            assert ca.contains(t) == (DOMAIN.contains(t) and not a.contains(t)), (a, t)
+        cases += 4
 
         lo_w = rng.randrange(0, 9) * 0.25
         hi_w = lo_w + rng.randrange(0, 9) * 0.25

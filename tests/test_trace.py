@@ -229,6 +229,20 @@ class TestCsvDialect:
         with pytest.raises(TraceError, match=f":{lineno}:"):
             load_csv(write_bytes(tmp_path, text))
 
+    @pytest.mark.parametrize("extra", ["# a comment\n", "\n", "  \t\n", "   # indented\n"])
+    @pytest.mark.parametrize("at", [1, 2, 3000, 5999, 6000])
+    def test_lines_among_the_data_change_nothing(self, tmp_path, extra, at):
+        """A comment or blank line anywhere among the data rows, in or across
+        the batches the reader hands numpy, loads the same arrays as the file without it."""
+        lines = ["time,x,y\n"] + [f"{i * 0.5!r},{(i * 7919) % 101 / 7!r},{i}\n" for i in range(6000)]
+        plain = load_csv(write_bytes(tmp_path, "".join(lines)))
+        lines.insert(at, extra)
+        lines[at + 1] = lines[at + 1].rstrip("\n") + "  # trailing note\n"
+        got = load_csv(write_bytes(tmp_path, "".join(lines)))
+        assert got.times().tobytes() == plain.times().tobytes()
+        for name in ("x", "y"):
+            assert got.values(name).tobytes() == plain.values(name).tobytes()
+
     @pytest.mark.parametrize("bad_line", [2, 3, 500, 777, 1002])
     def test_first_bad_line_found_in_long_file(self, tmp_path, bad_line):
         lines = ["time,x"] + [f"{i},{i % 7}" for i in range(1000)] + ["# end"]
