@@ -1,19 +1,26 @@
 """Truth intervals for predicates, digital signals, and events.
 
-A predicate's truth set is computed by scanning the sample sequence of
-``g(t) = expr(trace(t))`` for sign changes and refining each crossing
-on the interpolated segment: exactly for affine expressions, by
-bisection to the time tolerance otherwise.  Sign changes strictly
-inside one segment of a non-affine expression are outside what the
-scan can see; sampling must be dense enough to expose them.
+A predicate holds at a sample when ``g = lhs - rhs`` there is ``>= 0``
+(relation ``>=``) or ``> 0`` (relation ``>``); between samples ``g`` is
+interpolated.  One truth-flip rule turns samples into truth runs: each
+segment whose two endpoint truths differ holds one run boundary, at the
+endpoint where ``g`` is exactly 0 if there is one and otherwise at the
+segment's zero crossing, solved exactly for affine expressions and by
+bisection to the time tolerance otherwise.  Every predicate boundary is
+closed exactly when the relation is ``>=``.  A digital signal holds its
+value, so its boundaries lie on the samples, each run closed at its
+start and open at its end.  Sign changes strictly inside one segment of
+a non-affine expression are outside what the rule can see; sampling
+must be dense enough to expose them.
 
-The same single-segment state machine drives both the batch evaluator
-here and the incremental trackers used for streaming, so both produce
-identical components by construction; the batch evaluator only solves
-the affine crossings of all segments at once, with `_crossing` on arrays.
-A streaming tracker may drop its completed runs that end before a cut
-instant (`drop_before`); the runs it keeps are still exactly the batch
-components.  Runs are component keys (see `intervals`) of Python floats.
+The rule has a scalar use and an array use.  The streaming trackers
+apply it to one segment per sample.  The batch evaluator applies it to
+every flip segment of the trace at once and pairs the boundaries into
+runs with `_pair_runs`, which drops empty runs as the trackers do, so
+both modes produce identical components.  A streaming tracker may drop
+its completed runs that end before a cut instant (`drop_before`); the
+runs it keeps are still exactly the batch components.  Runs are
+component keys (see `intervals`) of Python floats.
 
 One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
@@ -57,13 +64,15 @@ class _RunTracker:
     def __init__(self):
         self.completed: list[Key] = []
         self.run: tuple[float, bool] | None = None  # start and whether it is open
+        self.last = float("-inf")  # the latest run boundary
 
-    def _open(self, t: float, closed: bool) -> None:
+    def _flip(self, t: float, closed: bool) -> None:
+        """A run boundary at ``t``: open a run if none is open, else close it;
+        an empty run is dropped."""
+        self.last = t
         if self.run is None:
             self.run = (t, not closed)
-
-    def _close(self, t: float, closed: bool) -> None:
-        if self.run is not None:
+        else:
             lo, lo_open = self.run
             if lo < t or (lo == t and closed and not lo_open):
                 self.completed.append((lo, lo_open, t, closed))
@@ -84,6 +93,29 @@ class _RunTracker:
         return out
 
 
+def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: tuple[bool, bool]) -> list[Key]:
+    """The truth runs of a trace from its run boundaries, as `_RunTracker` builds them.
+
+    A run that holds at the trace start starts there closed, and one still
+    open at the trace end ends there closed.  Every other boundary opens and
+    closes alternately, closed as ``closed`` says for an opening and a closing
+    one; empty runs are dropped.
+    """
+    edges = np.concatenate((times[:1] if start_true else times[:0], bounds))
+    open_end = len(edges) % 2
+    if open_end:
+        edges = np.concatenate((edges, times[-1:]))
+    lo, hi = edges[0::2], edges[1::2]
+    lo_open = np.full(len(lo), not closed[0])
+    hi_closed = np.full(len(hi), closed[1])
+    if start_true:
+        lo_open[0] = False
+    if open_end:
+        hi_closed[-1] = True
+    keep = (lo < hi) | ((lo == hi) & hi_closed & ~lo_open)
+    return list(zip(lo[keep].tolist(), lo_open[keep].tolist(), hi[keep].tolist(), hi_closed[keep].tolist()))
+
+
 class PorvTracker(_RunTracker):
     """Incremental truth-run builder for one predicate."""
 
@@ -97,6 +129,10 @@ class PorvTracker(_RunTracker):
         self.prev_t: float | None = None
         self.prev_vals: dict[str, float] = {}
         self.prev_g: float = 0.0
+
+    def truth(self, g):
+        """Whether the predicate holds where ``g`` is its left side minus its right side."""
+        return g >= 0 if self.ge else g > 0
 
     # -- crossing refinement --------------------------------------------
 
@@ -122,8 +158,8 @@ class PorvTracker(_RunTracker):
 
     def begin(self, t0: float, vals: dict[str, float]) -> None:
         g0 = eval_expr(self.porv.expr, {s: vals[s] for s in self.signals})
-        if (g0 >= 0) if self.ge else (g0 > 0):
-            self._open(t0, True)
+        if self.truth(g0):
+            self.run = (t0, False)
         self.prev_t, self.prev_g = t0, g0
         self.prev_vals = {s: vals[s] for s in self.signals}
 
@@ -131,35 +167,10 @@ class PorvTracker(_RunTracker):
         v1 = {s: vals[s] for s in self.signals}
         g1 = eval_expr(self.porv.expr, v1)
         t0, g0 = self.prev_t, self.prev_g
-        crosses = g0 != 0 and g1 != 0 and (g0 > 0) != (g1 > 0)
-        tc = self._crossing(t0, g0, self.prev_vals, t1, g1, v1) if crosses else None
-        self.segment(t0, g0, t1, g1, tc)
+        if self.truth(g0) != self.truth(g1):
+            self._flip(t0 if g0 == 0 else t1 if g1 == 0 else self._crossing(t0, g0, self.prev_vals, t1, g1, v1),
+                       self.ge)
         self.prev_t, self.prev_g, self.prev_vals = t1, g1, v1
-
-    def segment(self, t0, g0, t1, g1, tc) -> None:
-        """Apply one sample-to-sample segment to the run state; ``tc`` is its
-        zero crossing, read only when ``g0`` and ``g1`` have opposite signs."""
-        ge = self.ge
-        s0 = 0 if g0 == 0 else (1 if g0 > 0 else -1)
-        s1 = 0 if g1 == 0 else (1 if g1 > 0 else -1)
-        if s0 == s1:
-            return  # uniform sign or plateau: state unchanged
-        if s0 > 0 and s1 < 0:
-            self._close(tc, ge)
-        elif s0 < 0 and s1 > 0:
-            self._open(tc, ge)
-        elif s0 > 0:  # s1 == 0
-            if not ge:
-                self._close(t1, False)
-        elif s0 < 0:  # s1 == 0
-            if ge:
-                self._open(t1, True)
-        elif s1 > 0:  # s0 == 0
-            if not ge:
-                self._open(t0, False)
-        else:  # s0 == 0, s1 < 0
-            if ge:
-                self._close(t0, True)
 
 
 class BoolTracker(_RunTracker):
@@ -173,15 +184,13 @@ class BoolTracker(_RunTracker):
     def begin(self, t0: float, vals: dict[str, float]) -> None:
         v = vals[self.name]
         if v == 1.0:
-            self._open(t0, True)
+            self.run = (t0, False)
         self.prev = v
 
     def advance(self, t1: float, vals: dict[str, float]) -> None:
         v = vals[self.name]
-        if self.prev == 1.0 and v == 0.0:
-            self._close(t1, False)
-        elif self.prev == 0.0 and v == 1.0:
-            self._open(t1, True)
+        if v != self.prev:
+            self._flip(t1, v == 1.0)
         self.prev = v
 
 
@@ -193,30 +202,22 @@ def _porv_components(trace: Trace, porv: ast.Porv, eps: float) -> list[Key]:
     sigs = _check_analog(trace, porv)
     times = trace.times()
     tracker = PorvTracker(porv, eps)
-    if not sigs:
-        g = float(eval_expr(porv.expr, {}))
-        member = (g >= 0) if porv.rel == ">=" else (g > 0)
-        return [trace.domain.key] if member else []
     arrays = {s: trace.values(s) for s in sigs}
-    g = np.asarray(eval_expr(porv.expr, arrays), dtype=float)
-    sign = np.sign(g)
-    tracker.begin(times.item(0), {s: arrays[s][0] for s in sigs})
-    # only segments with a sign change or a zero endpoint can move the state
-    hot = np.nonzero((sign[:-1] != sign[1:]) | (sign[:-1] == 0))[0]
-    t0, t1, g0, g1 = times[hot], times[hot + 1], g[hot], g[hot + 1]
+    g = np.broadcast_to(np.asarray(eval_expr(porv.expr, arrays), dtype=float), times.shape)
+    truth = tracker.truth(g)
+    flip = np.nonzero(truth[:-1] != truth[1:])[0]
+    t0, t1, g0, g1 = times[flip], times[flip + 1], g[flip], g[flip + 1]
     if tracker.affine:
-        with np.errstate(divide="ignore", invalid="ignore"):  # segments that do not cross
-            tc = tracker._crossing(t0, g0, None, t1, g1, None)
+        tc = tracker._crossing(t0, g0, None, t1, g1, None)
     else:
-        tc = np.zeros(len(hot))
+        tc = np.zeros(len(flip))
         for k in np.nonzero((g0 != 0) & (g1 != 0))[0]:  # the sign changes: bisect each
-            i = hot[k]
+            i = flip[k]
             v0 = {s: arrays[s][i] for s in sigs}
             v1 = {s: arrays[s][i + 1] for s in sigs}
             tc[k] = tracker._crossing(t0[k], g0[k], v0, t1[k], g1[k], v1)
-    for seg in zip(t0.tolist(), g0.tolist(), t1.tolist(), g1.tolist(), tc.tolist()):
-        tracker.segment(*seg)
-    return tracker.components(times.item(-1))
+    bounds = np.where(g0 == 0, t0, np.where(g1 == 0, t1, tc))
+    return _pair_runs(times, bool(truth[0]), bounds, (tracker.ge, tracker.ge))
 
 
 def _bool_components(trace: Trace, name: str) -> list[Key]:
@@ -225,14 +226,8 @@ def _bool_components(trace: Trace, name: str) -> list[Key]:
             raise UnknownSignalError(f"trace has no signal {name!r}")
         raise TraceError(f"signal {name!r} is analog but is used as a proposition")
     times = trace.times()
-    vals = trace.values(name)
-    tracker = BoolTracker(name)
-    tracker.begin(times.item(0), {name: vals.item(0)})
-    hot = np.nonzero(vals[:-1] != vals[1:])[0]
-    for t, prev, v in zip(times[hot + 1].tolist(), vals[hot].tolist(), vals[hot + 1].tolist()):
-        tracker.prev = prev
-        tracker.advance(t, {name: v})
-    return tracker.components(times.item(-1))
+    truth = trace.values(name) == 1.0
+    return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False))
 
 
 def event_points(components: list[Key], edges: Interval, edge: str) -> list[Key]:

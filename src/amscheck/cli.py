@@ -21,7 +21,7 @@ from .atoms import build_table
 from .codegen import CodegenConfig, generate_monitors
 from .engine import assertion_match
 from .errors import AmscheckError, ProtocolError
-from .intervals import TIME_TOL, Interval, IntervalSet
+from .intervals import TIME_TOL, Interval, IntervalSet, key_text
 from .online import Session
 from .oracle import oracle_classify
 from .parser import parse_file
@@ -47,12 +47,26 @@ _ASSERTION = (
 _BOOL = ("false", "true")
 
 
-def _rows_text(s: IntervalSet) -> str:
-    if not s:
-        return "[]"
+def _assertion_text(r) -> str:
+    """One assertion's report entry; each distinct endpoint value is formatted once."""
+    sets = (r.fail, r.nonvacuous, r.undetermined, r.vacuous)
     num = float.__repr__
-    rows = [_ROW % (num(lo), num(hi), _BOOL[not lo_open], _BOOL[hi_closed]) for lo, lo_open, hi, hi_closed in s.keys]
-    return "[\n" + ",\n".join(rows) + "\n      ]"
+    # the kinds tile the domain, so most endpoints are shared.  -0.0 and 0.0
+    # are one dict key, so zeros are left out and formatted where they occur
+    text = dict.fromkeys([k[0] for s in sets for k in s.keys] + [k[2] for s in sets for k in s.keys])
+    text.pop(0.0, None)
+    get = {x: num(x) for x in text}.get
+
+    def rows(s: IntervalSet) -> str:
+        if not s:
+            return "[]"
+        return "[\n" + ",\n".join([
+            _ROW % (get(lo) or num(lo), get(hi) or num(hi), _BOOL[not lo_open], _BOOL[hi_closed])
+            for lo, lo_open, hi, hi_closed in s.keys
+        ]) + "\n      ]"
+
+    return _ASSERTION % (rows(r.fail), json.dumps(r.horizon), json.dumps(r.name), rows(r.nonvacuous),
+                         rows(r.undetermined), rows(r.vacuous))
 
 
 def write_report(f, trace_path: str, domain: Interval, time_tol: float, reports) -> None:
@@ -64,9 +78,7 @@ def write_report(f, trace_path: str, domain: Interval, time_tol: float, reports)
     )
     f.write('{\n  "assertions": [')
     for i, r in enumerate(reports):
-        f.write((",\n" if i else "\n") + _ASSERTION % (
-            _rows_text(r.fail), json.dumps(r.horizon), json.dumps(r.name), _rows_text(r.nonvacuous),
-            _rows_text(r.undetermined), _rows_text(r.vacuous)))
+        f.write((",\n" if i else "\n") + _assertion_text(r))
     f.write(("\n  ]," if reports else "],") + rest[1:] + "\n")
 
 
@@ -97,15 +109,16 @@ def cmd_check(args) -> int:
         with open(args.report, "w") as f:
             write_report(f, args.trace, trace.domain, args.time_tol, reports)
     width = max(len(r.name) for r in reports)
+    lines = []
     for r in reports:
         status = "FAIL" if not r.fail.is_empty else "PASS"
-        print(
+        lines.append(
             f"{r.name:<{width}}  {status}  match={len(r.nonvacuous)}"
             f" vacuous={len(r.vacuous)} fail={len(r.fail)}"
             f" undetermined={len(r.undetermined)}"
         )
-        for iv in r.fail:
-            print(f"{'':<{width}}  fail at {iv}")
+        lines.extend(f"{'':<{width}}  fail at {key_text(k)}" for k in r.fail.keys)
+    print("\n".join(lines))
     return 1 if any(not r.fail.is_empty for r in reports) else 0
 
 

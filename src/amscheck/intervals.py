@@ -90,14 +90,15 @@ class Interval:
         return _approx_eq(self.key, other.key, tol)
 
     def __str__(self) -> str:
-        if self.is_empty:
-            return "{}"
-        l = "[" if self.lo_closed else "("
-        r = "]" if self.hi_closed else ")"
-        return f"{l}{self.lo:g}:{self.hi:g}{r}"
+        return "{}" if self.is_empty else key_text(self.key)
 
 
 EMPTY = Interval(math.inf, -math.inf, False, False)
+
+
+def key_text(k: Key) -> str:
+    """A component as ``[lo:hi]``, with ``(`` or ``)`` at an open end and ``%g`` numbers."""
+    return "%s%g:%g%s" % ("[("[k[1]], k[0], k[2], ")]"[k[3]])
 
 
 def _contains(k: Key, t: float) -> bool:

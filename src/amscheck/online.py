@@ -7,8 +7,12 @@ passes t + horizon, t is decided.  Verdicts are slices of the offline
 partition: each feed step runs `engine.classify` on the window from
 the assertion's frontier up to now - horizon and emits its match and
 fail pieces.  A window no wider than the time tolerance waits for the
-next sample, as normalization would drop it.  Vacuous pieces are held
-and reported at finalize, which classifies the rest of the stream.
+next sample, as normalization would drop it.  So does every window while
+a truth run boundary lies within the time tolerance before the newest
+sample: the run begun or ended there is a sliver that normalization
+would also drop, and offline the same instants see the run that follows
+it.  Vacuous pieces are held and reported at finalize, which classifies
+the rest of the stream.
 
 Memory and per-sample work stay bounded.  Raw samples are not retained:
 trackers keep only completed truth runs plus the previous sample.  An
@@ -150,6 +154,9 @@ class Session:
                 tr.advance(t, vals)
         self._t = t
         out: list[Verdict] = []
+        # a run boundary within eps before t makes a sliver that normalization would drop: wait
+        if any(t - tr.last <= self.eps for tr in self._trackers.values()):
+            return out
         ev = None
         for st in self.props:
             upto = t - st.horizon

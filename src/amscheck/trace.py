@@ -117,24 +117,6 @@ class Trace:
         t1, v1 = ts.item(i + 1), col.item(i + 1)
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def append_sample(self, t: float, values: Mapping[str, float]) -> None:
-        t = float(t)
-        if not np.isfinite(t):
-            raise TraceError(f"sample time {t!r} is not finite")
-        if t <= self._times.item(-1):
-            raise TraceError(f"sample time {t!r} not after {self._times.item(-1)!r}")
-        if set(values) != set(self._columns):
-            raise TraceError("sample carries a different signal set than the trace")
-        row = {name: float(v) for name, v in values.items()}
-        for name, v in row.items():
-            if not np.isfinite(v):
-                raise TraceError(f"signal {name!r} got non-finite value {v!r}")
-            if self.kinds[name] == "boolean" and v not in (0.0, 1.0):
-                raise TraceError(f"boolean signal {name!r} got value {v!r}")
-        for name, v in row.items():
-            self._columns[name] = _column(np.append(self._columns[name], v))
-        self._times = _column(np.append(self._times, t))
-
 
 def _read_rows(lines: Iterable[str], width: int) -> np.ndarray | None:
     """``lines`` as an (n, width) float64 array, or None if np.loadtxt rejects them."""

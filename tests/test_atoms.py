@@ -21,7 +21,7 @@ from amscheck import (
     porv_truth,
 )
 from amscheck import ast as A
-from amscheck.atoms import PorvTracker, _porv_components, bexpr_truth
+from amscheck.atoms import BoolTracker, PorvTracker, _bool_components, _porv_components, bexpr_truth
 from amscheck.expr import BinOp, Const, SignalRef
 from amscheck.wavegen import fixture_trace
 
@@ -274,9 +274,8 @@ class TestSubDomainTable:
         assert calls == [a]
 
 
-def fed_components(porv, tr):
-    """The truth runs of a sample-by-sample `PorvTracker` feed, as streaming builds them."""
-    tracker = PorvTracker(porv)
+def fed_components(tracker, tr):
+    """The truth runs of a sample-by-sample tracker feed, as streaming builds them."""
     times = tr.times().tolist()
     cols = {s: tr.values(s).tolist() for s in tr.signals}
     tracker.begin(times[0], {s: c[0] for s, c in cols.items()})
@@ -308,9 +307,29 @@ def test_batch_runs_equal_sample_feed_bit_for_bit():
                 cols[name][i] = const.value / mul.value
                 zeros += 1
         tr = Trace(tr.times(), cols)
-        batch, fed = _porv_components(tr, porv, 1e-9), fed_components(porv, tr)
+        batch, fed = _porv_components(tr, porv, 1e-9), fed_components(PorvTracker(porv), tr)
         assert repr(batch) == repr(fed), (case, porv)
     assert zeros > 300 and nonaffine == 30
+
+
+def test_bool_batch_runs_equal_sample_feed_bit_for_bit():
+    """Digital signals go through the same run pairing: the batch runs of a
+    boolean column equal a `BoolTracker` feed, including constant columns and
+    runs that touch either end of the trace."""
+    rng = random.Random(4343)
+    flips = 0
+    for case in range(300):
+        n = rng.randint(2, 40)
+        times = sorted(rng.sample(range(10 * n), n))
+        stay = rng.choice([0.0, 0.5, 0.9, 1.0])  # chance that the next sample keeps the value
+        d = [float(rng.random() < 0.5)]
+        for _ in range(n - 1):
+            d.append(d[-1] if rng.random() < stay else 1.0 - d[-1])
+        flips += sum(a != b for a, b in zip(d, d[1:]))
+        tr = Trace([t * 0.1 for t in times], {"d": d}, kinds={"d": "boolean"})
+        batch, fed = _bool_components(tr, "d"), fed_components(BoolTracker("d"), tr)
+        assert repr(batch) == repr(fed), (case, d)
+    assert flips > 1000
 
 
 def test_endpoints_are_python_floats():

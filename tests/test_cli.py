@@ -75,6 +75,24 @@ class TestCheck:
             ends = sorted(rng.uniform(0, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(2 * rng.randint(0, 4)))
             return IntervalSet(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5) for lo, hi in zip(ends[::2], ends[1::2]))
 
+        def tiled(name):
+            """A report whose four kinds tile a domain, so neighbours share endpoints."""
+            cuts = sorted({rng.choice([0.1, 1.0, 3e-9]) * rng.randint(0, 40) for _ in range(rng.randint(2, 25))})
+            ends = [rng.choice(["left", "right", "point"]) for _ in cuts]
+            pieces = [Interval(lo, hi, ends[j] == "right" or j == 0, ends[j + 1] == "left" or j + 2 == len(cuts))
+                      for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+            pieces += [Interval(c, c) for c, end in zip(cuts[1:-1], ends[1:-1]) if end == "point"]
+            kinds = [[], [], [], []]
+            for iv in pieces:
+                rng.choice(kinds).append(iv)
+            return MatchReport(name, Interval(cuts[0], cuts[-1]), *map(IntervalSet, kinds), rng.random())
+
+        def zeros(name, first, second):
+            """Both zeros in one assertion: they compare and hash equal but print differently."""
+            return MatchReport(name, domain, IntervalSet([Interval(-1.0, first, True, False)]), IntervalSet(),
+                               IntervalSet([Interval(second, 1.0), Interval(2.0, 3.0)]), IntervalSet([Interval(1.5, 1.5)]),
+                               1.0)
+
         odd = IntervalSet([Interval(-0.0, 5e-324), Interval(1e-300, 0.5, False, True), Interval(0.75, 0.75),
                            Interval(2.0, 1e300, True, False)])
         domain = Interval(-0.0, 1e300)
@@ -82,7 +100,11 @@ class TestCheck:
             MatchReport('a "quoted" \\ näme ✓', domain, odd, IntervalSet(), IntervalSet([Interval(1e300, 1e300)]),
                         IntervalSet(), 0.25),
             MatchReport("empty", domain, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(), 0.0),
+            zeros("zeros", -0.0, 0.0),
+            zeros("zeros swapped", 0.0, -0.0),
         ] + [MatchReport(f"r{i}", domain, rand_set(), rand_set(), rand_set(), rand_set(), rng.random()) for i in range(30)]
+        reports += [tiled(f"t{i}") for i in range(30)]
+        assert sum(iv.hi == jv.lo for r in reports for iv in r.fail for jv in r.nonvacuous) > 20
         kinds = ("nonvacuous", "vacuous", "fail", "undetermined")
         for path, reps in (('dir\\"tr\u00e2ce"\n.csv', reports), ("t.csv", reports[1:2]), ("t.csv", [])):
             doc = {
@@ -99,6 +121,29 @@ class TestCheck:
             out = io.StringIO()
             write_report(out, path, domain, 1e-9, reps)
             assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_fail_lines_print_each_component(self, escape_files, monkeypatch, capsys):
+        """`check` writes one ``fail at`` line per fail component, as `Interval.__str__` prints it."""
+        fail = IntervalSet([Interval(-1.5, -0.0, True, False), Interval(0.1234567, 1.23456789e-7 + 0.2, False, True),
+                            Interval(0.5, 0.5), Interval(2.000001, 3.9999996, False, False), Interval(1e21, 1e22)])
+        quiet = MatchReport("quiet", Interval(-2.0, 1e22), IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(), 0.0)
+        loud = MatchReport("loud one", Interval(-2.0, 1e22), IntervalSet(), IntervalSet(), fail, IntervalSet(), 0.0)
+        reports = iter([quiet, loud])
+        monkeypatch.setattr("amscheck.cli.assertion_match", lambda p, table: next(reports))
+        trace, props = escape_files
+        props.write_text(ESCAPE + ESCAPE.replace("escape", "second"))
+        assert main(["check", str(trace), str(props)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "quiet     PASS  match=0 vacuous=0 fail=0 undetermined=0"
+        assert lines[1] == "loud one  FAIL  match=0 vacuous=0 fail=5 undetermined=0"
+        assert lines[2:] == [f"          fail at {iv}" for iv in fail]
+        assert lines[2:] == [
+            "          fail at [-1.5:-0)",
+            "          fail at (0.123457:0.2]",
+            "          fail at [0.5:0.5]",
+            "          fail at (2:4)",
+            "          fail at [1e+21:1e+22]",
+        ]
 
     def test_failing_run_exit_one(self, escape_files, capsys):
         trace, props = escape_files

@@ -296,3 +296,26 @@ class TestSubEpsWindows:
         assert union_of(verdicts, {"match"}).approx_eq(rep.nonvacuous)
         # verdicts still come out live, not only at finalize
         assert any(v.kind == "match" and v.decided_at < times[-1] for v in verdicts[1:])
+
+
+class TestSubEpsHeadRun:
+    """A truth run that began less than eps before the newest sample must not
+    be read as false: the stream waits until the run is older than eps."""
+
+    KINDS = {"match": "nonvacuous", "vacuous-end": "vacuous", "fail": "fail", "undetermined": "undetermined"}
+
+    def test_matches_offline(self):
+        p = parse_property("{V(a)>0} |-> ##[1:1] {V(b)>0};", name="p")
+        times = [float(k) for k in range(8)]
+        cols = {"a": [1.0] * 8, "b": [-1, -1, -1, -1, -99.5, 0.5, 1, 1]}
+        sess = Session([p], ["a", "b"], eps=0.01)
+        verdicts = []
+        for i, t in enumerate(times):
+            verdicts += sess.feed(t, [cols["a"][i], cols["b"][i]])
+        verdicts += sess.finalize()
+        rep = assertion_match(p, build_table(Trace(times, cols), p, eps=0.01))
+        assert rep.nonvacuous.approx_eq(IntervalSet([Interval(3.995, 6.0, False, True)]))
+        # compared to 1e-9: the unwaited stream is off by 0.005, inside eps itself
+        for kind, attr in self.KINDS.items():
+            got = IntervalSet([v.interval for v in verdicts if v.kind == kind], 0.01)
+            assert got.approx_eq(getattr(rep, attr)), (kind, got, getattr(rep, attr))

@@ -87,33 +87,6 @@ class TestLookup:
         assert vals == {"v": 2.0}
 
 
-class TestAppend:
-    def test_append_extends_domain(self):
-        tr = ramp_trace()
-        tr.append_sample(3.0, {"v": 1.0})
-        assert tr.domain.hi == 3.0
-        assert tr.value_at("v", 2.5) == pytest.approx(0.5)
-
-    def test_append_must_advance(self):
-        tr = ramp_trace()
-        with pytest.raises(TraceError):
-            tr.append_sample(2.0, {"v": 1.0})
-
-    def test_append_needs_all_signals(self):
-        tr = ramp_trace()
-        with pytest.raises(TraceError):
-            tr.append_sample(3.0, {})
-
-    def test_append_rejects_non_finite(self):
-        tr = Trace([0.0, 1.0], {"v": [0.0, 1.0], "w": [0.0, 1.0]})
-        with pytest.raises(TraceError):
-            tr.append_sample(2.0, {"v": 1.0, "w": float("nan")})
-        with pytest.raises(TraceError):
-            tr.append_sample(float("inf"), {"v": 1.0, "w": 1.0})
-        # a rejected sample leaves the trace untouched
-        assert len(tr) == 2 and len(tr.values("v")) == 2
-
-
 class TestReadOnly:
     def test_columns_cannot_be_written(self):
         tr = Trace([0.0, 1.0, 2.0, 3.0], {"x": [0.0, 1.0, 0.0, 1.0]})
