@@ -132,7 +132,10 @@ def cmd_stream(args) -> int:
             name, kind = part.split(":", 1)
         else:
             name, kind = part, "analog"
-        kinds[name.strip()] = kind.strip()
+        name = name.strip()
+        if name in kinds:
+            raise ProtocolError(f"duplicate signal names: {name!r} declared twice")
+        kinds[name] = kind.strip()
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     sess = Session(props, kinds, eps=args.time_tol)
     out = sys.stdout

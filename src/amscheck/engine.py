@@ -14,9 +14,10 @@ through the recursion.
 `classify` is the one place that partitions time into verdicts: match
 (the antecedent ends and the consequent follows), vacuous (no
 antecedent match), fail, and undetermined (a failure within the
-horizon of the domain end).  Offline checking classifies the whole
-trace domain; a streaming session classifies the window it is about to
-decide, over its retained sub-domain.
+horizon of the domain end).  The consequent is evaluated only where
+the antecedent matches in the window.  Offline checking classifies the
+whole trace domain; a streaming session classifies the window it is
+about to decide, over its retained sub-domain.
 """
 
 from __future__ import annotations
@@ -135,20 +136,24 @@ def classify(ev: _Evaluator, p: ast.Property, name: str, within: Interval) -> Ma
 
     An instant is undetermined when it lies within the horizon of the
     domain end: more trace could still turn its failure into a match.
+    The consequent is evaluated only if the antecedent matches in ``within``.
     """
     eps, domain = ev.eps, ev.domain
     em = ev.end(p.antecedent)
     if within != domain:
         em = set_intersect(em, IntervalSet([within], eps), eps)
+    vac = set_complement(em, within, eps)
+    und = IntervalSet((), eps)
+    hor = ast.horizon(p)
+    if em.is_empty:
+        # no obligation in the window: all of it is vacuous, whatever the consequent does
+        return MatchReport(name, within, und, vac, und, und, hor)
     bm = ev.begin(p.consequent, ev.dom_set)
     if p.delay is not None:
         lo, hi = p.delay
         bm = ev._clip(minkowski_diff_set(bm, lo, hi, eps))
     matched = set_intersect(em, bm, eps)
-    vac = set_complement(em, within, eps)
     fail = set_complement(set_union(matched, vac, eps), within, eps)
-    und = IntervalSet((), eps)
-    hor = ast.horizon(p)
     tail = Interval(domain.hi - hor, domain.hi, False, True).intersect(within)
     if not tail.is_empty:
         tail_set = IntervalSet([tail], eps)

@@ -25,7 +25,8 @@ Evaluation covers the sub-domain [cut, now] only.  A snapshot is the
 batch `atoms.AtomTable` over the trackers' runs instead of the trace:
 its domain is [cut, now], event edges are placed against the stream
 start rather than the cut, and an atom's set is built only when an
-assertion that emits reads it.  The held vacuous list grows with the
+assertion that emits reads it.  A window with no antecedent match
+costs only the antecedent.  The held vacuous list grows with the
 number of vacuous components, not with the samples.
 """
 
@@ -82,6 +83,8 @@ class Session:
             self.kinds = dict(signals)
         else:
             self.kinds = {name: "analog" for name in signals}
+            if len(self.kinds) != len(signals):
+                raise ProtocolError(f"duplicate signal names in {list(signals)}")
         for name, kind in self.kinds.items():
             if kind not in KINDS:
                 raise ProtocolError(f"signal {name!r} has unknown kind {kind!r}")

@@ -232,6 +232,15 @@ class TestStream:
         monkeypatch.setattr("sys.stdin", io.StringIO("0.0 1.0\n0.0 2.0\n"))
         assert main(["stream", str(props), "--signals", "Vout:analog"]) == 2
 
+    @pytest.mark.parametrize("signals", ["x,x", "x:analog,x:boolean", "x,y:analog,x"])
+    def test_duplicate_signal_names_exit_two(self, tmp_path, monkeypatch, capsys, signals):
+        props = tmp_path / "props.txt"
+        props.write_text("p: {V(x)>1} |-> {V(x)>0};\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0 2.0\n1.0 2.0\n"))
+        assert main(["stream", str(props), "--signals", signals]) == 2
+        captured = capsys.readouterr()
+        assert "duplicate signal names" in captured.err and captured.out == ""
+
 
 class TestOracle:
     def test_oracle_json(self, settle_files, capsys):

@@ -1,6 +1,7 @@
 """Offline match-engine tests: end matches, begin matches, full reports."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,12 @@ from amscheck import (
     begin_match,
     build_table,
     end_match,
+    horizon,
+    minkowski_diff_set,
     minkowski_sum_set,
     parse_property,
+    pretty,
+    set_complement,
     set_difference,
     set_intersect,
     set_union,
@@ -283,3 +288,69 @@ class TestClassifyWindows:
             for field in ("nonvacuous", "vacuous", "fail", "undetermined"):
                 got = IntervalSet(c for r in reps for c in getattr(r, field))
                 assert got.approx_eq(getattr(whole, field)), (case, field)
+
+
+def reference_partition(ev, p, within):
+    """The verdict formulas with the consequent always evaluated, whatever the antecedent does."""
+    eps, domain = ev.eps, ev.domain
+    em = ev.end(p.antecedent)
+    if within != domain:
+        em = set_intersect(em, IntervalSet([within], eps), eps)
+    bm = ev.begin(p.consequent, ev.dom_set)
+    if p.delay is not None:
+        bm = set_intersect(minkowski_diff_set(bm, *p.delay, eps), ev.dom_set, eps)
+    matched = set_intersect(em, bm, eps)
+    vac = set_complement(em, within, eps)
+    fail = set_complement(set_union(matched, vac, eps), within, eps)
+    und = IntervalSet((), eps)
+    tail = Interval(domain.hi - horizon(p), domain.hi, False, True).intersect(within)
+    if not tail.is_empty:
+        tail_set = IntervalSet([tail], eps)
+        und = set_intersect(fail, tail_set, eps)
+        fail = set_difference(fail, tail_set, within, eps)
+    return matched, vac, fail, und
+
+
+class TestAntecedentFirst:
+    """Skipping the consequent where the antecedent ends no match changes no verdict."""
+
+    FIELDS = ("nonvacuous", "vacuous", "fail", "undetermined")
+
+    def windows(self, rng, em, dom, eps):
+        lo, hi = dom.lo, dom.hi
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+        yield dom
+        yield Interval(a, b, False, True)  # a streaming window
+        yield Interval(a, a)  # a closed point
+        yield Interval(a, a + eps / 2, False, True)  # narrower than eps
+        yield Interval(b, min(b + eps / 2, hi))
+        for k in em.keys[:2]:
+            yield Interval(k[0], k[0])  # a point at an antecedent match edge
+            yield Interval(lo, k[0], True, not k[1])  # up to the match, exclusive
+        # inside the gaps between antecedent matches
+        for g in set_complement(em, dom, eps).keys[:3]:
+            c, d = sorted(rng.uniform(g[0], g[2]) for _ in range(2))
+            yield Interval(c, d, False, True)
+            yield Interval(c, c)
+
+    def test_equals_reference_partition(self):
+        rng = random.Random(2024)
+        never = parse_property("{V(s0)>1e9} |-> {V(s0)>0};").antecedent
+        pairs = empty = 0
+        for case in range(40):
+            tr = random_trace(rng)
+            p = random_property(rng, list(tr.signals))
+            for prop in (p, replace(p, antecedent=never)) if case % 4 == 0 else (p,):
+                tab = build_table(tr, prop)
+                eps = tab.eps
+                em = end_match(prop.antecedent, tab)
+                for w in self.windows(rng, em, tab.domain, eps):
+                    if w.is_empty:
+                        continue
+                    want = reference_partition(_Evaluator(tab), prop, w)
+                    got = classify(_Evaluator(tab), prop, "r", w)
+                    for field, ref in zip(self.FIELDS, want):
+                        assert getattr(got, field).keys == ref.keys, (case, field, w, pretty(prop))
+                    pairs += 1
+                    empty += set_intersect(em, IntervalSet([w], eps), eps).is_empty
+        assert pairs >= 200 and empty >= 50, (pairs, empty)

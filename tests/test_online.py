@@ -1,5 +1,6 @@
 """Streaming checker tests: incremental verdicts and offline agreement."""
 
+import math
 import random
 from dataclasses import replace
 from itertools import accumulate
@@ -16,11 +17,15 @@ from amscheck import (
     assertion_match,
     build_table,
     depth,
+    end_match,
     horizon,
     parse_property,
     pretty,
+    set_intersect,
     set_union,
 )
+from amscheck import online
+from amscheck.engine import _Evaluator
 from amscheck.wavegen import fixture_trace
 
 MS = 1e-3
@@ -173,6 +178,12 @@ class TestProtocol:
         with pytest.raises(Exception):
             Session([p], {"v": "analog"})
 
+    def test_duplicate_signal_names(self):
+        p = parse_property("{V(x)>5} |-> {V(x)>1};")
+        for names in (["x", "x"], ("x", "y", "x")):
+            with pytest.raises(ProtocolError, match="duplicate signal names"):
+                Session([p], names)
+
     def test_positional_values(self):
         p = parse_property("{V(v)>5} |-> {V(v)>1};")
         s = Session([p], ["v"])
@@ -319,3 +330,63 @@ class TestSubEpsHeadRun:
         for kind, attr in self.KINDS.items():
             got = IntervalSet([v.interval for v in verdicts if v.kind == kind], 0.01)
             assert got.approx_eq(getattr(rep, attr)), (kind, got, getattr(rep, attr))
+
+
+class TestAntecedentFirst:
+    """A window where the antecedent ends no match never evaluates the consequent."""
+
+    CONS = " |-> ##[0.002:0.004] {V(x)<0};"
+
+    def trace(self):
+        rng = random.Random(5)
+        times = [k * 1e-4 for k in range(1000)]
+        return Trace(times, {"x": [math.sin(2 * math.pi * 50 * t) + rng.gauss(0, 0.02) for t in times]})
+
+    def count_begin(self, monkeypatch):
+        calls = []
+        real = _Evaluator.begin
+
+        def counted(ev, s, restrict):
+            calls.append(s)
+            return real(ev, s, restrict)
+
+        monkeypatch.setattr(_Evaluator, "begin", counted)
+        return calls
+
+    def test_never_matching_stream(self, monkeypatch):
+        calls = self.count_begin(monkeypatch)
+        sess = Session([parse_property("{V(x)>1e9}" + self.CONS, name="p")], ["x"])
+        verdicts = stream(sess, self.trace()) + sess.finalize()
+        assert calls == []
+        assert {v.kind for v in verdicts} == {"vacuous-end"}
+
+    def test_begin_only_where_antecedent_matches(self, monkeypatch):
+        tr = self.trace()
+        p = parse_property("{V(x)>0.9}" + self.CONS, name="p")
+        em = end_match(p.antecedent, build_table(tr, p))
+        calls = self.count_begin(monkeypatch)
+        windows = []
+        classify = online.classify
+
+        def recorded(ev, prop, name, within):
+            windows.append(within)
+            return classify(ev, prop, name, within)
+
+        monkeypatch.setattr(online, "classify", recorded)
+        sess = Session([p], ["x"])
+        steps = [lambda i=i: sess.feed(*tr.sample(i)) for i in range(len(tr))] + [sess.finalize]
+        evaluated = 0
+        for i, step in enumerate(steps):
+            windows.clear()
+            before = len(calls)
+            step()
+            hit = any(set_intersect(em, IntervalSet([w])) for w in windows)
+            assert (len(calls) > before) == hit, (i, windows)
+            evaluated += hit
+        assert 0 < evaluated < len(steps) // 2
+
+    def test_never_matching_offline(self, monkeypatch):
+        calls = self.count_begin(monkeypatch)
+        p = parse_property("{V(x)>1e9}" + self.CONS)
+        rep = assertion_match(p, build_table(self.trace(), p))
+        assert calls == [] and rep.fail.is_empty
