@@ -8,9 +8,9 @@ oracle for differential testing, and a Verilog-AMS monitor generator.
 """
 
 from .ast import Property, collect_atoms, depth, horizon, pretty, validate
-from .atoms import AtomTable, bexpr_truth, bool_truth, build_table, event_truth, porv_truth
+from .atoms import AtomTable, bexpr_truth, build_table
 from .codegen import CodegenConfig, generate_monitors
-from .engine import MatchReport, assertion_match, begin_match, end_match
+from .engine import MatchReport, assertion_match
 from .errors import (
     AmscheckError,
     BoundError,
@@ -73,14 +73,10 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "assertion_match",
-    "begin_match",
     "bexpr_truth",
-    "bool_truth",
     "build_table",
     "collect_atoms",
     "depth",
-    "end_match",
-    "event_truth",
     "fixture_spec",
     "fixture_trace",
     "generate",
@@ -94,7 +90,6 @@ __all__ = [
     "oracle_classify",
     "parse_file",
     "parse_property",
-    "porv_truth",
     "pretty",
     "save_csv",
     "set_complement",

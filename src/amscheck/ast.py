@@ -43,7 +43,7 @@ class Porv:
     rel: str  # '>' or '>='
 
     def __str__(self) -> str:
-        return f"{render_expr(self.expr)} {self.rel} 0"
+        return _pretty_bexpr(self)
 
 
 @_node
@@ -53,7 +53,7 @@ class BoolSignal:
     name: str
 
     def __str__(self) -> str:
-        return self.name
+        return _pretty_bexpr(self)
 
 
 @_node
@@ -64,8 +64,7 @@ class EventAtom:
     edge: str  # 'pos' | 'neg' | 'any'
 
     def __str__(self) -> str:
-        mark = {"pos": "+", "neg": "-", "any": ""}[self.edge]
-        return f"@{mark}{{{self.pred}}}"
+        return _pretty_bexpr(self)
 
 
 @_node

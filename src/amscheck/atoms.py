@@ -250,13 +250,13 @@ class AtomTable:
 
     An atom's set is built on its first `get`.  ``runs(base)`` gives the
     truth runs of a predicate or digital signal in time order, as
-    component keys or as `Interval`s, computed once per base; an event
-    atom takes its points from them, placed against ``edges`` (the domain
-    unless given).  Only the first run may start before the domain, and
-    it is clipped to it.
+    component keys, computed once per base; an event atom takes its
+    points from them, placed against ``edges`` (the domain unless given).
+    Only the first run may start before the domain, and it is clipped to
+    it.
     """
 
-    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list],
+    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list[Key]],
                  edges: Interval | None = None, eps: float = TIME_TOL):
         self.domain = domain
         self.eps = eps
@@ -273,8 +273,7 @@ class AtomTable:
                 raise AmscheckError(f"no truth set for atom {atom}")
             base = atom.pred if isinstance(atom, ast.EventAtom) else atom
             if base not in self._base:
-                runs = self._runs(base)
-                self._base[base] = [r.key for r in runs] if runs and isinstance(runs[0], Interval) else runs
+                self._base[base] = self._runs(base)
             comps = self._base[base]
             if isinstance(atom, ast.EventAtom):
                 comps = event_points(comps, self._edges, atom.edge)
@@ -285,28 +284,6 @@ class AtomTable:
 
     def atoms(self) -> tuple[ast.Atom, ...]:
         return tuple(self._atoms)
-
-
-def _trace_table(trace: Trace, atoms: Iterable[ast.Atom], eps: float) -> AtomTable:
-    def runs(base: ast.Atom) -> list[Key]:
-        if isinstance(base, ast.Porv):
-            return _porv_components(trace, base, eps)
-        return _bool_components(trace, base.name)
-
-    return AtomTable(trace.domain, atoms, runs, eps=eps)
-
-
-def porv_truth(trace: Trace, porv: ast.Porv, eps: float = TIME_TOL) -> IntervalSet:
-    return _trace_table(trace, [porv], eps).get(porv)
-
-
-def bool_truth(trace: Trace, name: str, eps: float = TIME_TOL) -> IntervalSet:
-    atom = ast.BoolSignal(name)
-    return _trace_table(trace, [atom], eps).get(atom)
-
-
-def event_truth(trace: Trace, event: ast.EventAtom, eps: float = TIME_TOL) -> IntervalSet:
-    return _trace_table(trace, [event], eps).get(event)
 
 
 def build_table(
@@ -321,7 +298,13 @@ def build_table(
     """
     if isinstance(props, ast.Property):
         props = [props]
-    tab = _trace_table(trace, (a for p in props for a in ast.collect_atoms(p)), eps)
+
+    def runs(base: ast.Atom) -> list[Key]:
+        if isinstance(base, ast.Porv):
+            return _porv_components(trace, base, eps)
+        return _bool_components(trace, base.name)
+
+    tab = AtomTable(trace.domain, (a for p in props for a in ast.collect_atoms(p)), runs, eps=eps)
     for atom in tab.atoms():
         tab.get(atom)
     tab._base, tab._runs = {}, None  # every set is built; drop the runs and the trace

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .ast import horizon
@@ -246,13 +247,28 @@ def cmd_genwave(args) -> int:
     return 0
 
 
+def _number(low: str):
+    """An argparse type for a finite float ``>= 0`` or ``> 0``, as ``low`` says; others exit 2."""
+
+    def number(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if math.isfinite(v) and (v > 0 or (v == 0 and low == ">=")):
+            return v
+        raise argparse.ArgumentTypeError(f"expected a finite number {low} 0, got {text!r}")
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="amscheck", description="Dense-time checker for analog/mixed-signal assertions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--time-tol", type=float, default=TIME_TOL, help="time comparison tolerance in seconds")
-        p.add_argument("--value-tol", type=float, default=1e-6, help="tolerance used to desugar == on analog values")
+        p.add_argument("--time-tol", type=_number(">="), default=TIME_TOL, help="time comparison tolerance in seconds")
+        p.add_argument("--value-tol", type=_number(">="), default=1e-6, help="tolerance used to desugar == on analog values")
         p.add_argument("--assert-name", default=None, help="check only the named assertion")
 
     p = sub.add_parser("check", help="check a trace CSV against an assertion file")
@@ -271,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="dense-grid reference classification")
     p.add_argument("trace")
     p.add_argument("assertions")
-    p.add_argument("--dt", type=float, required=True, help="grid step in seconds")
+    p.add_argument("--dt", type=_number(">"), required=True, help="grid step in seconds")
     common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("codegen", help="emit Verilog-AMS monitor text")
     p.add_argument("assertions")
     p.add_argument("--id", type=int, default=0, help="assertion id for callback arguments")
-    p.add_argument("--time-acc", type=float, default=1e-9)
-    p.add_argument("--value-acc", type=float, default=1e-6)
+    p.add_argument("--time-acc", type=_number(">"), default=1e-9)
+    p.add_argument("--value-acc", type=_number(">"), default=1e-6)
     p.add_argument("--out", default=None, help="output .vams path (default stdout)")
     p.add_argument("--module", action="store_true", help="wrap blocks in a module")
     p.add_argument("--module-name", default="amscheck_monitors")

@@ -6,48 +6,21 @@ predicate within a window counted in whole cycles.  This is the
 conventional sampled-logic view of a delay requirement; it sees only
 clock ticks, so a violation that lives between ticks can pass here
 while the dense-time checker reports it.
+
+The Boolean layer is the grid oracle's, evaluated over the clock ticks;
+only the signal samples are taken here, with `Trace.value_at`'s
+interpolation.  Like the oracle, this baseline shares no code with the
+interval engine.
 """
 
 from __future__ import annotations
-
-import functools
-import operator
 
 import numpy as np
 
 from . import ast
 from .errors import AmscheckError
-from .expr import eval_expr, expr_signals
+from .oracle import _GridEval, _has_event
 from .trace import Trace
-
-
-def _pointwise(b: ast.BExpr, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Truth of ``b`` at every tick, from the sampled signal arrays."""
-    if isinstance(b, ast.Porv):
-        g = np.asarray(eval_expr(b.expr, env))
-        return g >= 0 if b.rel == ">=" else g > 0
-    if isinstance(b, ast.BoolSignal):
-        return env[b.name] == 1.0
-    if isinstance(b, ast.Not):
-        return ~_pointwise(b.operand, env)
-    if isinstance(b, ast.And):
-        return functools.reduce(operator.and_, (_pointwise(t, env) for t in b.terms))
-    if isinstance(b, ast.Or):
-        return _pointwise(b.left, env) | _pointwise(b.right, env)
-    raise AmscheckError(f"clocked sampling cannot evaluate {type(b).__name__}")
-
-
-def _pred_signals(b: ast.BExpr) -> set[str]:
-    out: set[str] = set()
-    for n in ast.iter_nodes(b):
-        # reject an event before sampling its predicate's signals
-        if isinstance(n, ast.EventAtom):
-            raise AmscheckError("clocked sampling cannot evaluate EventAtom")
-        if isinstance(n, ast.Porv):
-            out.update(expr_signals(n.expr))
-        elif isinstance(n, ast.BoolSignal):
-            out.add(n.name)
-    return out
 
 
 def _sample(trace: Trace, name: str, t: np.ndarray) -> np.ndarray:
@@ -61,18 +34,23 @@ def _sample(trace: Trace, name: str, t: np.ndarray) -> np.ndarray:
     return np.where(inner, col[i] + (col[j] - col[i]) * (t - ts[i]) / np.where(inner, ts[j] - ts[i], 1.0), col[i])
 
 
+class _ClockEval(_GridEval):
+    """The oracle's Boolean layer on clock ticks, with signals sampled by `_sample`."""
+
+    def signal(self, name: str) -> np.ndarray:
+        return _sample(self.trace, name, self.grid)
+
+
 def sample_on_clock(trace: Trace, b: ast.BExpr, period: float) -> np.ndarray:
     """Truth of the predicate at ticks k*period from the trace start."""
     if period <= 0:
         raise AmscheckError("clock period must be positive")
+    if _has_event(b):
+        raise AmscheckError("clocked sampling cannot evaluate EventAtom")
     lo, hi = trace.domain.lo, trace.domain.hi
     n = int(np.floor((hi - lo) / period + 1e-9))
-    sigs = _pred_signals(b)
     ticks = np.minimum(lo + np.arange(n + 1) * period, hi)
-    env = {s: _sample(trace, s, ticks) for s in sigs}
-    out = np.empty(n + 1, dtype=bool)
-    out[:] = _pointwise(b, env)  # a constant predicate gives one scalar
-    return out
+    return _ClockEval(trace, ticks, period).bexpr(b)
 
 
 def rises(arr: np.ndarray) -> list[int]:

@@ -48,8 +48,10 @@ def _fmt_acc(v: float) -> str:
     return format_number(v)
 
 
-def _cross_expr(e) -> str:
-    return render_expr(e, strip_v=True).replace(" ", "")
+def _cross(e, direction: str, cfg: CodegenConfig) -> str:
+    """The cross event of ``e`` in ``direction`` (+1, -1 or 0) at the configured accuracies."""
+    e = render_expr(e, strip_v=True).replace(" ", "")
+    return f"cross({e},{direction},{_fmt_acc(cfg.time_acc)},{_fmt_acc(cfg.value_acc)})"
 
 
 @dataclass(frozen=True)
@@ -64,76 +66,46 @@ def collect_units(p: ast.Property) -> list[_Unit]:
     return [_Unit(i, s.bexpr) for i, s in enumerate(seqs)]
 
 
-def _member_blocks(member: ast.BExpr, flag: str, cfg: CodegenConfig) -> list[str]:
-    ta, va = _fmt_acc(cfg.time_acc), _fmt_acc(cfg.value_acc)
-    inverted = isinstance(member, ast.Not)
-    core = member.operand if inverted else member
-    on, off = ("1'b0", "1'b1") if inverted else ("1'b1", "1'b0")
+def _edge_blocks(b: ast.BExpr, rise: str, fall: str, cfg: CodegenConfig, what: str = "") -> list[str]:
+    """Blocks running ``rise`` when a predicate or digital signal turns true and
+    ``fall`` when it turns false; a negation swaps the two statements."""
+    core = b.operand if isinstance(b, ast.Not) else b
+    if core is not b:
+        rise, fall = fall, rise
     if isinstance(core, ast.Porv):
-        e = _cross_expr(core.expr)
-        return [
-            f"always @(cross({e},+1,{ta},{va}))\n    {flag} = {on};",
-            f"always @(cross({e},-1,{ta},{va}))\n    {flag} = {off};",
-        ]
-    if isinstance(core, ast.BoolSignal):
-        return [
-            f"always @(posedge {core.name})\n    {flag} = {on};",
-            f"always @(negedge {core.name})\n    {flag} = {off};",
-        ]
-    raise CodegenError(f"no monitor template for conjunct member {type(member).__name__}")
+        on, off = _cross(core.expr, "+1", cfg), _cross(core.expr, "-1", cfg)
+    elif isinstance(core, ast.BoolSignal):
+        on, off = f"posedge {core.name}", f"negedge {core.name}"
+    else:
+        raise CodegenError(f"no monitor template for {what}{type(b).__name__}")
+    return [f"always @({on})\n    {rise}", f"always @({off})\n    {fall}"]
 
 
 def _unit_blocks(u: _Unit, cfg: CodegenConfig) -> tuple[list[str], list[str], list[str]]:
     """Returns (assign lines, always blocks, flag declarations)."""
     aid, k = cfg.assertion_id, u.index
-    ta, va = _fmt_acc(cfg.time_acc), _fmt_acc(cfg.value_acc)
     b = u.node
 
     if isinstance(b, ast.EventAtom):
         if isinstance(b.pred, ast.BoolSignal):
             trig = {"pos": f"posedge {b.pred.name}", "neg": f"negedge {b.pred.name}", "any": b.pred.name}[b.edge]
         else:
-            direction = {"pos": "+1", "neg": "-1", "any": "0"}[b.edge]
-            trig = f"cross({_cross_expr(b.pred.expr)},{direction},{ta},{va})"
+            trig = _cross(b.pred.expr, {"pos": "+1", "neg": "-1", "any": "0"}[b.edge], cfg)
         return [], [f"always @({trig})\n    $checkerCall({aid},{k},$abstime);"], []
 
     up = f"$updateTruthInterval({aid},{k},+1,$abstime);"
     down = f"$updateTruthInterval({aid},{k},-1,$abstime);"
+    if not isinstance(b, ast.And):
+        return [], _edge_blocks(b, up, down, cfg), []
 
-    inverted = isinstance(b, ast.Not)
-    core = b.operand if inverted else b
-    if isinstance(core, ast.Porv):
-        rise, fall = (down, up) if inverted else (up, down)
-        e = _cross_expr(core.expr)
-        return [], [
-            f"always @(cross({e},+1,{ta},{va}))\n    {rise}",
-            f"always @(cross({e},-1,{ta},{va}))\n    {fall}",
-        ], []
-    if isinstance(core, ast.BoolSignal):
-        rise, fall = (down, up) if inverted else (up, down)
-        return [], [
-            f"always @(posedge {core.name})\n    {rise}",
-            f"always @(negedge {core.name})\n    {fall}",
-        ], []
-
-    if isinstance(b, ast.And):
-        flag = f"flag_{k}"
-        members = list(b.terms)
-        for m in members:
-            if isinstance(m, ast.EventAtom) or (
-                isinstance(m, ast.Not) and not isinstance(m.operand, (ast.Porv, ast.BoolSignal))
-            ) or isinstance(m, (ast.And, ast.Or)):
-                raise CodegenError(f"no monitor template for conjunct member {type(m).__name__}")
-        bits = [f"{flag}_{j}" for j in range(len(members))]
-        assign = [f"assign {flag} = {' && '.join(bits)};"]
-        blocks: list[str] = []
-        for j, m in enumerate(members):
-            blocks.extend(_member_blocks(m, bits[j], cfg))
-        blocks.append(f"always @(posedge {flag})\n    {up}")
-        blocks.append(f"always @(negedge {flag})\n    {down}")
-        return assign, blocks, [flag, *bits]
-
-    raise CodegenError(f"no monitor template for {type(b).__name__}")
+    flag = f"flag_{k}"
+    bits = [f"{flag}_{j}" for j in range(len(b.terms))]
+    blocks: list[str] = []
+    for bit, m in zip(bits, b.terms):
+        blocks += _edge_blocks(m, f"{bit} = 1'b1;", f"{bit} = 1'b0;", cfg, "conjunct member ")
+    blocks.append(f"always @(posedge {flag})\n    {up}")
+    blocks.append(f"always @(negedge {flag})\n    {down}")
+    return [f"assign {flag} = {' && '.join(bits)};"], blocks, [flag, *bits]
 
 
 def generate_monitors(p: ast.Property, cfg: CodegenConfig | None = None) -> str:

@@ -93,16 +93,6 @@ class _Evaluator:
         return set_intersect(s, self.dom_set, self.eps)
 
 
-def end_match(s: ast.SeqExpr, tab: AtomTable) -> IntervalSet:
-    """All instants where the sequence completes a match."""
-    return _Evaluator(tab).end(s)
-
-
-def begin_match(s: ast.SeqExpr, restrict: IntervalSet, tab: AtomTable) -> IntervalSet:
-    """All instants where a match starts whose end lies in ``restrict``."""
-    return _Evaluator(tab).begin(s, restrict)
-
-
 @dataclass(frozen=True)
 class MatchReport:
     """Verdict partition of the trace domain, or of one window of it, for one assertion."""

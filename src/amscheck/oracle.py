@@ -2,9 +2,12 @@
 
 Evaluates the satisfaction relations directly: quantifiers over time
 windows become loops over grid indices, begin matches are found by
-exhaustive search.  Shares no code with the interval engine beyond the
-trace and the syntax tree, so agreement between the two is evidence,
-not tautology.  Cost is quadratic-ish in grid length; this is a test
+exhaustive search.  The verdicts share no code with the interval engine
+beyond the trace and the syntax tree, so agreement between the two is
+evidence, not tautology.  Only the resolution check (`check_resolution`)
+reads the engine's atom truth sets, from `atoms.build_table`, to measure
+exact feature widths.  The clocked baseline reuses the Boolean layer of
+`_GridEval`.  Cost is quadratic-ish in grid length; this is a test
 instrument, not a checker.
 """
 

@@ -17,11 +17,19 @@ Relations are normalized at parse time: everything becomes ``expr > 0``
 or ``expr >= 0``, with < and <= turning into negations and an analog
 ``==`` widening into a two-sided band of half-width ``value_tol``.
 A bare identifier is a digital signal; analog values are ``V(name)``.
-``#`` starts a comment except in the delay form ``##[``.
+
+Lexical rules: a number is decimal digits with at most one point
+(``1``, ``1.``, ``1.5``, ``.5``) and an optional exponent (``2e-3``);
+any Unicode decimal digit counts, but digit-like characters such as
+``²`` or ``½`` do not.  An identifier is a letter or ``_`` followed by
+letters, decimal digits and ``_``.  ``#`` starts a comment that runs to
+the end of the line, except in the delay form ``##[``.  Spaces, tabs
+and carriage returns only separate tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import ast
@@ -31,31 +39,12 @@ from .expr import BinOp, Const, Expr, Neg, SignalRef
 #: Half-width of the band an analog equality comparison expands into.
 VALUE_TOL = 1e-6
 
-_SYMBOLS = (
-    "|->",
-    "&&",
-    "||",
-    ">=",
-    "<=",
-    "==",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    "*",
-    ":",
-    ";",
-    ",",
-    "@",
-    "+",
-    "-",
-    "/",
-    ">",
-    "<",
-    "~",
-    "=",
+# One alternative per token class, tried in order at each offset; a word
+# run that does not start with a letter or "_" is rejected by `_lex`.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|(?P<skip>[ \t\r]+|#(?!#\[)[^\n]*)"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|(?P<id>\w+)"
+    r"|(?P<sym>\|->|&&|\|\||[<>=]=|##|[{}()\[\]*:;,@+\-/<>~=])|(?P<bad>.)"
 )
 
 
@@ -76,58 +65,17 @@ class _BoolRef:
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("##", i) and i + 2 < n and text[i + 2] == "[":
-            toks.append(_Tok("##", "##", line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            toks.append(_Tok("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            tok = m.group()
+            col = m.start() - line_start + 1
+            if kind == "bad" or (kind == "id" and not (tok[0].isalpha() or tok[0] == "_")):
+                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+            toks.append(_Tok(tok if kind == "sym" else kind, tok, line, col))
     return toks
 
 
@@ -262,16 +210,19 @@ class _Parser:
         tol = Const(self.value_tol)
         return ast.And((ast.Porv(BinOp("+", f, tol), ">="), ast.Porv(BinOp("-", tol, f), ">=")))
 
-    def rel(self) -> ast.BExpr:
+    def rel(self, event: bool = False) -> ast.BExpr:
+        """A comparison or a digital signal; in an ``event``, also the
+        two-argument form ``V(sig), threshold``, a threshold crossing."""
         tok = self.peek()
         assert tok is not None
         left = self.arith()
-        if self.at(">") or self.at(">=") or self.at("<") or self.at("<=") or self.at("=="):
+        if any(map(self.at, (">", ">=", "<", "<=", "=="))) or (event and self.at(",")):
             op = self.take().kind
-            return self.make_rel(left, op, self.arith(), tok)
+            return self.make_rel(left, ">" if op == "," else op, self.arith(), tok)
         if isinstance(left, _BoolRef):
             return ast.BoolSignal(left.name)
-        raise ParseError("expected a comparison operator", tok.line, tok.col)
+        msg = "event needs a comparison or a digital signal" if event else "expected a comparison operator"
+        raise ParseError(msg, tok.line, tok.col)
 
     # -- Boolean layer --------------------------------------------------
 
@@ -285,22 +236,7 @@ class _Parser:
             self.take()
             edge = "neg"
         self.expect("{")
-        tok = self.peek()
-        assert tok is not None
-        left = self.arith()
-        pred: ast.BExpr
-        if self.at(">") or self.at(">=") or self.at("<") or self.at("<=") or self.at("=="):
-            op = self.take().kind
-            pred = self.make_rel(left, op, self.arith(), tok)
-        elif self.at(","):
-            # two-argument form @edge{V(sig), threshold}: a threshold crossing
-            self.take()
-            thr = self.arith()
-            pred = self.make_rel(left, ">", thr, tok)
-        elif isinstance(left, _BoolRef):
-            pred = ast.BoolSignal(left.name)
-        else:
-            raise ParseError("event needs a comparison or a digital signal", tok.line, tok.col)
+        pred = self.rel(event=True)
         self.expect("}")
         if not isinstance(pred, (ast.Porv, ast.BoolSignal)):
             raise ParseError(

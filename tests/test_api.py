@@ -31,3 +31,17 @@ def test_benchmark_harness_contract():
     sess = Session([parse_property("{V(x)>0.5} |-> {V(x)<2}", name="p")], ["x"])
     verdicts = sess.feed(0.0, [1.0]) + sess.feed(1.0, [1.0]) + sess.finalize()
     assert verdicts and all(type(v.interval.lo) is float and v.interval.lo_closed in (True, False) for v in verdicts)
+    assert all(callable(getattr(Session, name)) for name in ("feed", "finalize", "pending_obligations"))
+
+    # benchmarks/tracing.py wraps these names where amscheck.cli binds them
+    from amscheck import cli
+
+    assert all(callable(getattr(cli, name)) for name in ("load_csv", "parse_file", "build_table", "assertion_match"))
+    assert all(hasattr(amscheck, name) for name in ("parse_file", "Trace", "assertion_match", "build_table", "horizon",
+                                                    "IntervalSet"))
+    (p,) = amscheck.parse_file("p: {V(x)>0.5} |-> {V(x)<2};")
+    tr = amscheck.Trace([0.0, 1.0, 2.0], {"x": [0.0, 1.0, 0.0]})
+    rep = amscheck.assertion_match(p, amscheck.build_table(tr, p), name=p.name)
+    assert amscheck.horizon(p) == 0.0
+    for kind in ("nonvacuous", "vacuous", "fail", "undetermined"):
+        assert all(isinstance(iv, Interval) for iv in getattr(rep, kind).items)

@@ -14,11 +14,8 @@ from amscheck import (
     TraceError,
     UnknownSignalError,
     assertion_match,
-    bool_truth,
     build_table,
-    event_truth,
     parse_property,
-    porv_truth,
 )
 from amscheck import ast as A
 from amscheck.atoms import BoolTracker, PorvTracker, _bool_components, _porv_components, bexpr_truth
@@ -40,6 +37,11 @@ def porv_of(text):
     return b
 
 
+def truth(trace, atom):
+    """The atom's truth set over the whole trace."""
+    return _table_for(trace, atom).get(atom)
+
+
 def line_trace():
     # v(t) = t on [0:10]
     return Trace([0.0, 10.0], {"v": [0.0, 10.0], "x": [0.0, 0.0]},
@@ -48,45 +50,45 @@ def line_trace():
 
 class TestPorv:
     def test_strict_crossing_is_open(self):
-        got = porv_truth(line_trace(), porv_of("V(v)>5"))
+        got = truth(line_trace(), porv_of("V(v)>5"))
         assert got.approx_eq(S((5.0, 10.0, False, True)))
 
     def test_weak_crossing_is_closed(self):
-        got = porv_truth(line_trace(), porv_of("V(v)>=5"))
+        got = truth(line_trace(), porv_of("V(v)>=5"))
         assert got.approx_eq(S((5.0, 10.0, True, True)))
 
     def test_constant_true(self):
-        got = porv_truth(line_trace(), porv_of("V(v)>-1"))
+        got = truth(line_trace(), porv_of("V(v)>-1"))
         assert got.approx_eq(S((0.0, 10.0)))
 
     def test_constant_false(self):
-        assert porv_truth(line_trace(), porv_of("V(v)>11")).is_empty
+        assert truth(line_trace(), porv_of("V(v)>11")).is_empty
 
     def test_tangential_touch(self):
         # v dips to exactly 5 at t=1 and comes back up
         tr = Trace([0.0, 1.0, 2.0], {"v": [6.0, 5.0, 6.0], "x": [0, 0, 0]},
                    kinds={"x": "boolean"})
-        weak = porv_truth(tr, porv_of("V(v)>=5"))
+        weak = truth(tr, porv_of("V(v)>=5"))
         assert weak.approx_eq(S((0.0, 2.0)))
-        strict = porv_truth(tr, porv_of("V(v)>5"))
+        strict = truth(tr, porv_of("V(v)>5"))
         assert strict.approx_eq(S((0.0, 1.0, True, False), (1.0, 2.0, False, True)))
 
     def test_touch_from_below(self):
         # v rises to exactly 5 at t=1 then falls: >= gives a point, > nothing
         tr = Trace([0.0, 1.0, 2.0], {"v": [4.0, 5.0, 4.0], "x": [0, 0, 0]},
                    kinds={"x": "boolean"})
-        weak = porv_truth(tr, porv_of("V(v)>=5"))
+        weak = truth(tr, porv_of("V(v)>=5"))
         assert weak.approx_eq(S((1.0, 1.0)))
-        assert porv_truth(tr, porv_of("V(v)>5")).is_empty
+        assert truth(tr, porv_of("V(v)>5")).is_empty
 
     def test_affine_combination(self):
         # 2*v - 10 > 0 is the same cut as v > 5
-        got = porv_truth(line_trace(), porv_of("2*V(v)-10 > 0"))
+        got = truth(line_trace(), porv_of("2*V(v)-10 > 0"))
         assert got.approx_eq(S((5.0, 10.0, False, True)))
 
     def test_unknown_signal(self):
         with pytest.raises(UnknownSignalError):
-            porv_truth(line_trace(), porv_of("V(w)>1"))
+            truth(line_trace(), porv_of("V(w)>1"))
 
     def test_settling_band_components(self):
         """Packaged settling waveform: the in-band predicate holds on four
@@ -118,17 +120,17 @@ class TestBool:
         return Trace(t, {"d": d}, kinds={"d": "boolean"})
 
     def test_hold_intervals_right_open(self):
-        got = bool_truth(self.square_trace(), "d")
+        got = truth(self.square_trace(), A.BoolSignal("d"))
         want = S((1, 2, True, False), (3, 4, True, False), (5, 6, True, False))
         assert got.approx_eq(want)
 
     def test_true_to_end_is_closed(self):
         tr = Trace([0, 1, 2], {"d": [0, 1, 1]}, kinds={"d": "boolean"})
-        assert bool_truth(tr, "d").approx_eq(S((1, 2)))
+        assert truth(tr, A.BoolSignal("d")).approx_eq(S((1, 2)))
 
     def test_analog_signal_rejected(self):
         with pytest.raises(TraceError):
-            bool_truth(line_trace(), "v")
+            truth(line_trace(), A.BoolSignal("v"))
 
 
 class TestEvents:
@@ -137,23 +139,23 @@ class TestEvents:
         return p.antecedent.bexpr
 
     def test_rising_porv_event(self):
-        got = event_truth(line_trace(), self.event_of("@+{V(v)>5}"))
+        got = truth(line_trace(), self.event_of("@+{V(v)>5}"))
         assert got.approx_eq(S((5.0, 5.0)))
 
     def test_no_event_at_trace_start(self):
         # already true at t=0: there is no onset instant
-        got = event_truth(line_trace(), self.event_of("@+{V(v)>-1}"))
+        got = truth(line_trace(), self.event_of("@+{V(v)>-1}"))
         assert got.is_empty
 
     def test_falling_event(self):
         tr = Trace([0.0, 10.0], {"v": [10.0, 0.0], "x": [0, 0]},
                    kinds={"x": "boolean"})
-        got = event_truth(tr, self.event_of("@-{V(v)>5}"))
+        got = truth(tr, self.event_of("@-{V(v)>5}"))
         assert got.approx_eq(S((5.0, 5.0)))
 
     def test_any_edge_on_square_wave(self):
         tr = TestBool().square_trace()
-        got = event_truth(tr, self.event_of("@{d==1}"))
+        got = truth(tr, self.event_of("@{d==1}"))
         want = S((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6))
         assert got.approx_eq(want)
 
@@ -161,7 +163,7 @@ class TestEvents:
         # d never falls inside the domain; switching off exactly at the end
         # sample is a boundary artifact, not an edge
         tr = Trace([0, 1, 2], {"d": [0, 1, 1]}, kinds={"d": "boolean"})
-        got = event_truth(tr, self.event_of("@{d==1}"))
+        got = truth(tr, self.event_of("@{d==1}"))
         assert got.approx_eq(S((1, 1)))
 
 
@@ -230,13 +232,13 @@ class TestTable:
 class TestSubDomainTable:
     """An `AtomTable` over runs that start before its domain, as a stream snapshot is."""
 
-    A_RUN = Interval(1.0, 4.0, True, False)  # crosses the cut at 2
-    B_RUN = Interval(0.0, 3.0)  # touches the stream start at 0
-    C_RUN = Interval(2.0, 3.0)  # starts at the cut, after the stream start
+    A_RUN = Interval(1.0, 4.0, True, False).key  # crosses the cut at 2
+    B_RUN = Interval(0.0, 3.0).key  # touches the stream start at 0
+    C_RUN = Interval(2.0, 3.0).key  # starts at the cut, after the stream start
 
     def table(self, atoms):
         runs = {
-            A.BoolSignal("a"): [self.A_RUN, Interval(5.0, 6.0)],
+            A.BoolSignal("a"): [self.A_RUN, Interval(5.0, 6.0).key],
             A.BoolSignal("b"): [self.B_RUN],
             A.BoolSignal("c"): [self.C_RUN],
         }

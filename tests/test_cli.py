@@ -164,6 +164,13 @@ class TestCheck:
         bad.write_text("{V(Vout)>1} |-> ;\n")
         assert main(["check", str(trace), str(bad)]) == 2
 
+    def test_digit_like_character_exit_two(self, settle_files, tmp_path, capsys):
+        trace, _ = settle_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text("settling: {V(Vout) > ²} |-> {V(Vout)<1};\n")
+        assert main(["check", str(trace), str(bad)]) == 2
+        assert "line 1, col 22: unexpected character '²'" in capsys.readouterr().err
+
     def test_empty_assertion_file_exit_two(self, settle_files, tmp_path, capsys):
         trace, _ = settle_files
         empty = tmp_path / "empty.txt"
@@ -174,6 +181,47 @@ class TestCheck:
         trace, props = settle_files
         assert main(["check", str(trace), str(props), "--assert-name", "settling"]) == 0
         assert main(["check", str(trace), str(props), "--assert-name", "absent"]) == 2
+
+
+class TestNumericOptions:
+    """Tolerances must be finite and non-negative, steps and accuracies finite and
+    positive: other values changed verdicts silently, or crashed."""
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("check", "--time-tol", "nan"),
+            ("check", "--time-tol", "inf"),
+            ("stream", "--time-tol", "-1e-9"),
+            ("check", "--value-tol", "nan"),
+            ("check", "--value-tol", "-1"),
+            ("oracle", "--dt", "0"),
+            ("oracle", "--dt", "nan"),
+            ("oracle", "--dt", "-0.1"),
+            ("codegen", "--time-acc", "nan"),
+            ("codegen", "--time-acc", "inf"),
+            ("codegen", "--value-acc", "0"),
+            ("codegen", "--value-acc", "-1e-6"),
+        ],
+    )
+    def test_rejected_exit_two(self, settle_files, capsys, command, option, value):
+        trace, props = settle_files
+        head = {
+            "check": ["check", str(trace), str(props)],
+            "stream": ["stream", str(props), "--signals", "Vout"],
+            "oracle": ["oracle", str(trace), str(props), "--dt", "1e-5"],
+            "codegen": ["codegen", str(props)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(head + [f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a finite number" in err and repr(value) in err
+
+    def test_zero_tolerances_accepted(self, settle_files, capsys):
+        trace, props = settle_files
+        assert main(["check", str(trace), str(props), "--time-tol", "0", "--value-tol", "0"]) == 0
+        assert main(["codegen", str(props), "--time-acc", "1e-12", "--value-acc", "2e-3"]) == 0
 
 
 class TestNonFinite:

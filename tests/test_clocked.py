@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _corpus import _bexpr, random_trace
-from amscheck import AmscheckError, Trace, parse_property
+from amscheck import AmscheckError, Trace, TraceError, parse_property
 from amscheck import ast as A
 from amscheck.clocked import sample_on_clock
 from amscheck.expr import eval_expr
@@ -76,3 +76,11 @@ def test_negated_constant_is_false_everywhere():
     tr = Trace([0.0, 1.0], {"v": [0.0, 1.0]})
     b = A.Not(parse_property("{1 > 0} |-> {V(v) > 0};").antecedent.bexpr)
     assert sample_on_clock(tr, b, 0.5).tolist() == [False] * 3
+
+
+@pytest.mark.parametrize("b", [A.BoolSignal("v"), parse_property("{V(d) > 0} |-> {V(v) > 0};").antecedent.bexpr])
+def test_signal_of_the_wrong_kind_rejected(b):
+    # a bare analog name, or V() of a boolean signal, as in the grid oracle
+    tr = Trace([0.0, 1.0], {"v": [0.0, 1.0], "d": [0.0, 1.0]}, kinds={"d": "boolean"})
+    with pytest.raises(TraceError):
+        sample_on_clock(tr, b, 0.25)

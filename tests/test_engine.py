@@ -11,9 +11,7 @@ from amscheck import (
     IntervalSet,
     Trace,
     assertion_match,
-    begin_match,
     build_table,
-    end_match,
     horizon,
     minkowski_diff_set,
     minkowski_sum_set,
@@ -59,7 +57,7 @@ class TestEndMatchRepeat:
         )
         tr = settle_trace()
         tab = table_for(tr, p)
-        got = end_match(p.antecedent, tab)
+        got = _Evaluator(tab).end(p.antecedent)
         # only the 4.1ms-long final component survives a 2ms recurrence
         assert got.approx_eq(S((5.8 * MS, 7.9 * MS)))
 
@@ -67,12 +65,12 @@ class TestEndMatchRepeat:
         p = parse_property("{V(Vout)>=1.14 && V(Vout)<=1.26}[*0.0042] |-> {V(Vout)>1};")
         tr = settle_trace()
         tab = table_for(tr, p)
-        assert end_match(p.antecedent, tab).is_empty
+        assert _Evaluator(tab).end(p.antecedent).is_empty
 
     def test_repeat_keeps_flags(self):
         tr = Trace([0.0, 10.0], {"v": [0.0, 10.0]})
         p = parse_property("{V(v)>5}[*1] |-> {V(v)>5};")
-        got = end_match(p.antecedent, build_table(tr, p))
+        got = _Evaluator(build_table(tr, p)).end(p.antecedent)
         # (5:10] shifted: still open at the (now later) left edge
         assert got.approx_eq(S((6.0, 10.0, False, True)))
 
@@ -84,9 +82,9 @@ class TestEndMatchDelay:
         tr = settle_trace()
         p = parse_property("@+{V(Vout)>0.12} ##[0.001:0.004] {V(Vout)>1.14} |-> {V(Vout)>1};")
         tab = table_for(tr, p)
-        got = end_match(p.antecedent, tab)
+        got = _Evaluator(tab).end(p.antecedent)
         # the event is at 0.7ms; window [1.7:4.7]ms; V>1.14 holds (1.6:2.03)...
-        right = end_match(band_seq("{V(Vout)>1.14}"), tab)
+        right = _Evaluator(tab).end(band_seq("{V(Vout)>1.14}"))
         want = set_intersect(S((1.7 * MS, 4.7 * MS)), right)
         assert got.approx_eq(want)
 
@@ -94,7 +92,7 @@ class TestEndMatchDelay:
         # left matches at one point, right holds everywhere: pure shift
         tr = Trace([0.0, 10.0], {"v": [0.0, 10.0]})
         p = parse_property("@+{V(v)>5} ##[1:2] {V(v)>-1} |-> {V(v)>5};")
-        got = end_match(p.antecedent, build_table(tr, p))
+        got = _Evaluator(build_table(tr, p)).end(p.antecedent)
         assert got.approx_eq(S((6.0, 7.0)))
 
 
@@ -105,7 +103,7 @@ class TestEndMatchRepeatUntil:
         # prefix and the continuation hold
         p = parse_property("{V(v)>2}[*1:3]{V(v)>8} |-> {V(v)>5};")
         tab = build_table(tr, p)
-        got = end_match(p.antecedent, tab)
+        got = _Evaluator(tab).end(p.antecedent)
         # prefix alone would allow (3:10]; continuation restricts to (8:10]
         assert got.approx_eq(S((8.0, 10.0, False, True)))
 
@@ -116,7 +114,7 @@ class TestBeginMatch:
         seq = band_seq()
         tab = table_for(tr, parse_property("{V(Vout)>=1.14 && V(Vout)<=1.26} |-> {V(Vout)>1.14};"))
         dom = IntervalSet([tr.domain])
-        got = begin_match(seq, dom, tab)
+        got = _Evaluator(tab).begin(seq, dom)
         want = S(*[(a * MS, b * MS) for a, b in P1])
         assert got.approx_eq(want, tol=1e-9)
 
@@ -124,7 +122,7 @@ class TestBeginMatch:
         tr = settle_trace()
         seq = band_seq()
         tab = table_for(tr, parse_property("{V(Vout)>=1.14 && V(Vout)<=1.26} |-> {V(Vout)>1.14};"))
-        assert begin_match(seq, IntervalSet(), tab).is_empty
+        assert _Evaluator(tab).begin(seq, IntervalSet()).is_empty
 
     def test_repeat_begin_rewinds_duration(self):
         """An end match of {phi}[*a] at t began at t-a."""
@@ -132,8 +130,8 @@ class TestBeginMatch:
         p = parse_property("{V(Vout)>1} |-> {V(Vout)>=1.14 && V(Vout)<=1.26}[*0.002];")
         tab = table_for(tr, p)
         seq = p.consequent
-        em = end_match(seq, tab)
-        got = begin_match(seq, em, tab)
+        em = _Evaluator(tab).end(seq)
+        got = _Evaluator(tab).begin(seq, em)
         want = IntervalSet(Interval(i.lo - 0.002, i.hi - 0.002, i.lo_closed, i.hi_closed) for i in em.items)
         assert got.approx_eq(want)
 
@@ -235,8 +233,8 @@ class TestRecurrenceLaws:
         tr = settle_trace()
         p = parse_property("{V(Vout)>=1.14 && V(Vout)<=1.26}[*0.001] |-> {V(Vout)>1};")
         tab = build_table(tr, p)
-        em_repeat = end_match(p.antecedent, tab)
-        em_base = end_match(band_seq(), tab)
+        em_repeat = _Evaluator(tab).end(p.antecedent)
+        em_base = _Evaluator(tab).end(band_seq())
         dom = tr.domain
         assert set_difference(em_repeat, em_base, dom).is_empty
 
@@ -251,8 +249,8 @@ class TestRecurrenceLaws:
         )
         tabn = table_for(tr, narrow)
         tabw = table_for(tr, wide)
-        emn = end_match(narrow.antecedent, tabn)
-        emw = end_match(wide.antecedent, tabw)
+        emn = _Evaluator(tabn).end(narrow.antecedent)
+        emw = _Evaluator(tabw).end(wide.antecedent)
         assert set_difference(emn, emw, tr.domain).is_empty
 
     def test_shift_recurrence_identity(self):
@@ -260,8 +258,8 @@ class TestRecurrenceLaws:
         tr = settle_trace()
         p = parse_property("{V(Vout)>=1.14 && V(Vout)<=1.26}[*0.002] |-> {V(Vout)>1};")
         tab = build_table(tr, p)
-        got = end_match(p.antecedent, tab)
-        base = end_match(band_seq(), tab)
+        got = _Evaluator(tab).end(p.antecedent)
+        base = _Evaluator(tab).end(band_seq())
         for comp in got.items:
             src = [c for c in base.items if c.lo <= comp.lo and comp.hi <= c.hi + 1e-12]
             assert src, f"repeat match {comp} outside every operand component"
@@ -343,7 +341,7 @@ class TestAntecedentFirst:
             for prop in (p, replace(p, antecedent=never)) if case % 4 == 0 else (p,):
                 tab = build_table(tr, prop)
                 eps = tab.eps
-                em = end_match(prop.antecedent, tab)
+                em = _Evaluator(tab).end(prop.antecedent)
                 for w in self.windows(rng, em, tab.domain, eps):
                     if w.is_empty:
                         continue

@@ -165,6 +165,14 @@ class TestErrors:
         msg = str(exc.value)
         assert "line 1" in msg and "col" in msg
 
+    @pytest.mark.parametrize("digit", ["²", "¹", "①"])
+    def test_digit_like_character_is_a_parse_error(self, digit):
+        # str.isdigit holds for these, but they are no decimal digits: float() rejects them
+        with pytest.raises(ParseError, match=f"line 1, col 9: unexpected character '{digit}'"):
+            parse_property("{V(x) > %s} |-> {V(x)<1}" % digit)
+        with pytest.raises(ParseError, match="line 2, col 7: unexpected character '²'"):
+            parse_property("{V(x) >\n 1 + 1²} |-> {V(x)<1}")
+
     def test_trailing_semicolon_optional(self):
         bare = parse_property("{x} |-> {y}")
         term = parse_property("{x} |-> {y};")

@@ -17,7 +17,6 @@ from amscheck import (
     assertion_match,
     build_table,
     depth,
-    end_match,
     horizon,
     parse_property,
     pretty,
@@ -363,7 +362,7 @@ class TestAntecedentFirst:
     def test_begin_only_where_antecedent_matches(self, monkeypatch):
         tr = self.trace()
         p = parse_property("{V(x)>0.9}" + self.CONS, name="p")
-        em = end_match(p.antecedent, build_table(tr, p))
+        em = _Evaluator(build_table(tr, p)).end(p.antecedent)
         calls = self.count_begin(monkeypatch)
         windows = []
         classify = online.classify
