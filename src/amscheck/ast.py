@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
-from .expr import Expr, expr_signals, format_number, render_expr
+from .expr import Expr, format_number, render_expr
 
 
 def _node(cls):
@@ -159,8 +159,7 @@ def depth(s: SeqExpr) -> float:
     if isinstance(s, Repeat):
         return depth(s.seq) + s.dur
     if isinstance(s, (RepeatUntil, Delay)):
-        first = s.seq if isinstance(s, RepeatUntil) else s.left
-        second = s.cont if isinstance(s, RepeatUntil) else s.right
+        first, second = children(s)
         return depth(first) + depth(second) + s.hi
     raise TypeError(f"not a sequence expression: {s!r}")
 
@@ -204,18 +203,6 @@ def iter_nodes(node) -> Iterator:
 def collect_atoms(p: Property) -> tuple[Atom, ...]:
     """Deduplicated leaf atoms in source order, antecedent first."""
     return tuple(dict.fromkeys(n for n in iter_nodes(p) if isinstance(n, ATOMS)))
-
-
-def atom_signals(atom: Atom) -> tuple[str, ...]:
-    if isinstance(atom, Porv):
-        return expr_signals(atom.expr)
-    if isinstance(atom, BoolSignal):
-        return (atom.name,)
-    return atom_signals(atom.pred)
-
-
-def property_signals(p: Property) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(name for atom in collect_atoms(p) for name in atom_signals(atom)))
 
 
 # ---------------------------------------------------------------------------

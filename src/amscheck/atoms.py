@@ -13,14 +13,17 @@ start and open at its end.  Sign changes strictly inside one segment of
 a non-affine expression are outside what the rule can see; sampling
 must be dense enough to expose them.
 
-The rule has a scalar use and an array use.  The streaming trackers
-apply it to one segment per sample.  The batch evaluator applies it to
-every flip segment of the trace at once and pairs the boundaries into
-runs with `_pair_runs`, which drops empty runs as the trackers do, so
-both modes produce identical components.  A streaming tracker may drop
-its completed runs that end before a cut instant (`drop_before`); the
-runs it keeps are still exactly the batch components.  Runs are
-component keys (see `intervals`) of Python floats.
+One front end, `trackers`, checks which signals the atoms read and as
+which kind, for batch and streaming checks alike, and gives each base
+atom (a predicate or digital signal; an event's base is its predicate)
+one tracker.  A tracker applies the rule in two ways: `advance` takes
+one segment per streamed sample, and `trace_runs` takes every flip
+segment of a whole trace at once and pairs the boundaries into runs
+with `_pair_runs`, which drops empty runs as a feed does, so both
+produce identical components.  A streaming tracker may drop its
+completed runs that end before a cut instant (`drop_before`); the runs
+it keeps are still exactly the batch components.  Runs are component
+keys (see `intervals`) of Python floats.
 
 One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
@@ -46,16 +49,6 @@ from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet, set_complement, set_intersect, set_union
 from .trace import Trace
-
-
-def _check_analog(trace: Trace, porv: ast.Porv) -> tuple[str, ...]:
-    sigs = expr_signals(porv.expr)
-    for s in sigs:
-        if s not in trace.signals:
-            raise UnknownSignalError(f"trace has no signal {s!r}")
-        if trace.kinds[s] != "analog":
-            raise TraceError(f"V({s}) reads a boolean signal; analog values need an analog signal")
-    return sigs
 
 
 class _RunTracker:
@@ -172,6 +165,26 @@ class PorvTracker(_RunTracker):
                        self.ge)
         self.prev_t, self.prev_g, self.prev_vals = t1, g1, v1
 
+    def trace_runs(self, trace: Trace) -> list[Key]:
+        """The truth runs of a whole trace, as a feed of its samples builds them."""
+        times = trace.times()
+        arrays = {s: trace.values(s) for s in self.signals}
+        g = np.broadcast_to(np.asarray(eval_expr(self.porv.expr, arrays), dtype=float), times.shape)
+        truth = self.truth(g)
+        flip = np.nonzero(truth[:-1] != truth[1:])[0]
+        t0, t1, g0, g1 = times[flip], times[flip + 1], g[flip], g[flip + 1]
+        if self.affine:
+            tc = self._crossing(t0, g0, None, t1, g1, None)
+        else:
+            tc = np.zeros(len(flip))
+            for k in np.nonzero((g0 != 0) & (g1 != 0))[0]:  # the sign changes: bisect each
+                i = flip[k]
+                v0 = {s: arrays[s][i] for s in self.signals}
+                v1 = {s: arrays[s][i + 1] for s in self.signals}
+                tc[k] = self._crossing(t0[k], g0[k], v0, t1[k], g1[k], v1)
+        bounds = np.where(g0 == 0, t0, np.where(g1 == 0, t1, tc))
+        return _pair_runs(times, bool(truth[0]), bounds, (self.ge, self.ge))
+
 
 class BoolTracker(_RunTracker):
     """Incremental truth-run builder for a digital signal (hold semantics)."""
@@ -193,41 +206,35 @@ class BoolTracker(_RunTracker):
             self._flip(t1, v == 1.0)
         self.prev = v
 
-
-# ---------------------------------------------------------------------------
-# Batch evaluation over a full trace
-
-
-def _porv_components(trace: Trace, porv: ast.Porv, eps: float) -> list[Key]:
-    sigs = _check_analog(trace, porv)
-    times = trace.times()
-    tracker = PorvTracker(porv, eps)
-    arrays = {s: trace.values(s) for s in sigs}
-    g = np.broadcast_to(np.asarray(eval_expr(porv.expr, arrays), dtype=float), times.shape)
-    truth = tracker.truth(g)
-    flip = np.nonzero(truth[:-1] != truth[1:])[0]
-    t0, t1, g0, g1 = times[flip], times[flip + 1], g[flip], g[flip + 1]
-    if tracker.affine:
-        tc = tracker._crossing(t0, g0, None, t1, g1, None)
-    else:
-        tc = np.zeros(len(flip))
-        for k in np.nonzero((g0 != 0) & (g1 != 0))[0]:  # the sign changes: bisect each
-            i = flip[k]
-            v0 = {s: arrays[s][i] for s in sigs}
-            v1 = {s: arrays[s][i + 1] for s in sigs}
-            tc[k] = tracker._crossing(t0[k], g0[k], v0, t1[k], g1[k], v1)
-    bounds = np.where(g0 == 0, t0, np.where(g1 == 0, t1, tc))
-    return _pair_runs(times, bool(truth[0]), bounds, (tracker.ge, tracker.ge))
+    def trace_runs(self, trace: Trace) -> list[Key]:
+        """The truth runs of a whole trace, as a feed of its samples builds them."""
+        times = trace.times()
+        truth = trace.values(self.name) == 1.0
+        return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False))
 
 
-def _bool_components(trace: Trace, name: str) -> list[Key]:
-    if trace.kinds.get(name) != "boolean":
-        if name not in trace.signals:
-            raise UnknownSignalError(f"trace has no signal {name!r}")
-        raise TraceError(f"signal {name!r} is analog but is used as a proposition")
-    times = trace.times()
-    truth = trace.values(name) == 1.0
-    return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False))
+def trackers(atoms: Iterable[ast.Atom], kinds: dict[str, str], eps: float) -> dict[ast.Atom, PorvTracker | BoolTracker]:
+    """One tracker per base atom (an event's base is its predicate), with every
+    signal checked against the declared ``kinds`` first.
+
+    A predicate reads analog signals only, and a proposition must be a
+    boolean signal.  The first bad signal, in atom order, raises.
+    """
+    out: dict[ast.Atom, PorvTracker | BoolTracker] = {}
+    for atom in atoms:
+        base = atom.pred if isinstance(atom, ast.EventAtom) else atom
+        if base in out:
+            continue
+        porv = isinstance(base, ast.Porv)
+        for s in expr_signals(base.expr) if porv else (base.name,):
+            if s not in kinds:
+                raise UnknownSignalError(f"unknown signal {s!r}; the declared signals are {list(kinds)}")
+            if porv and kinds[s] != "analog":
+                raise TraceError(f"V({s}) reads a boolean signal; analog values need an analog signal")
+            if not porv and kinds[s] != "boolean":
+                raise TraceError(f"signal {s!r} is analog but is used as a proposition")
+        out[base] = PorvTracker(base, eps) if porv else BoolTracker(base.name)
+    return out
 
 
 def event_points(components: list[Key], edges: Interval, edge: str) -> list[Key]:
@@ -293,18 +300,14 @@ def build_table(
 ) -> AtomTable:
     """Evaluate every atom of the given properties over the trace.
 
-    All sets are built here, so a missing or wrongly-kinded signal
-    raises before any engine work.  The table then keeps only the sets.
+    `trackers` checks every signal first, and all sets are built here, so
+    nothing raises during engine work.  The table then keeps only the sets.
     """
     if isinstance(props, ast.Property):
         props = [props]
-
-    def runs(base: ast.Atom) -> list[Key]:
-        if isinstance(base, ast.Porv):
-            return _porv_components(trace, base, eps)
-        return _bool_components(trace, base.name)
-
-    tab = AtomTable(trace.domain, (a for p in props for a in ast.collect_atoms(p)), runs, eps=eps)
+    atoms = [a for p in props for a in ast.collect_atoms(p)]
+    trk = trackers(atoms, trace.kinds, eps)
+    tab = AtomTable(trace.domain, atoms, lambda base: trk[base].trace_runs(trace), eps=eps)
     for atom in tab.atoms():
         tab.get(atom)
     tab._base, tab._runs = {}, None  # every set is built; drop the runs and the trace

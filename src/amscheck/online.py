@@ -1,9 +1,12 @@
 """Streaming assertion checking with horizon-gated verdict emission.
 
-Each assertion has a decision horizon: how far past an instant the
-trace must extend before that instant's verdict is final.  As samples
-arrive, atom truth runs are extended incrementally; once the stream
-passes t + horizon, t is decided.  Verdicts are slices of the offline
+The declared signals are checked, and one tracker per base atom made,
+by `atoms.trackers`, the batch check's own front end, so a signal of
+the wrong kind raises the same error as `build_table` on a trace.  Each
+assertion has a decision horizon: how far past an instant the trace
+must extend before that instant's verdict is final.  As samples arrive,
+the trackers extend atom truth runs; once the stream passes
+t + horizon, t is decided.  Verdicts are slices of the offline
 partition: each feed step runs `engine.classify` on the window from
 the assertion's frontier up to now - horizon and emits its match and
 fail pieces.  A window no wider than the time tolerance waits for the
@@ -36,9 +39,9 @@ import math
 from dataclasses import dataclass
 
 from . import ast
-from .atoms import AtomTable, BoolTracker, PorvTracker
+from .atoms import AtomTable, trackers
 from .engine import _Evaluator, classify
-from .errors import ProtocolError, UnknownSignalError
+from .errors import ProtocolError
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, set_intersect
 from .trace import KINDS
 
@@ -90,27 +93,10 @@ class Session:
                 raise ProtocolError(f"signal {name!r} has unknown kind {kind!r}")
         if not props:
             raise ProtocolError("no assertions to check")
-        self.props = []
-        for i, p in enumerate(props):
-            ast.validate(p)
-            for s in ast.property_signals(p):
-                if s not in self.kinds:
-                    raise UnknownSignalError(f"assertion uses undeclared signal {s!r}")
-            self.props.append(_PropState(p, p.name or f"a{i + 1}"))
+        self.props = [_PropState(ast.validate(p), p.name or f"a{i + 1}") for i, p in enumerate(props)]
         self.eps = eps
         self._atoms = dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop))
-        self._trackers: dict[ast.Atom, PorvTracker | BoolTracker] = {}
-        for a in self._atoms:
-            base = a.pred if isinstance(a, ast.EventAtom) else a
-            if isinstance(base, ast.BoolSignal) and self.kinds.get(base.name) != "boolean":
-                raise ProtocolError(f"signal {base.name!r} used as a proposition must be declared boolean")
-            if base not in self._trackers:
-                self._trackers[base] = PorvTracker(base, eps) if isinstance(base, ast.Porv) else BoolTracker(base.name)
-        for tr in self._trackers.values():
-            if isinstance(tr, PorvTracker):
-                for s in tr.signals:
-                    if self.kinds.get(s) == "boolean":
-                        raise ProtocolError(f"V({s}) reads a signal declared boolean")
+        self._trackers = trackers(self._atoms, self.kinds, eps)
         self._t0: float | None = None
         self._t: float | None = None
         self._cut = float("-inf")  # start of the retained sub-domain

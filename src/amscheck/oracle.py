@@ -1,14 +1,16 @@
 """Brute-force ground truth on a dense time grid.
 
 Evaluates the satisfaction relations directly: quantifiers over time
-windows become loops over grid indices, begin matches are found by
-exhaustive search.  The verdicts share no code with the interval engine
-beyond the trace and the syntax tree, so agreement between the two is
-evidence, not tautology.  Only the resolution check (`check_resolution`)
-reads the engine's atom truth sets, from `atoms.build_table`, to measure
-exact feature widths.  The clocked baseline reuses the Boolean layer of
-`_GridEval`.  Cost is quadratic-ish in grid length; this is a test
-instrument, not a checker.
+windows become counts over grid indices, begin matches are found by
+exhaustive search.  Every window that is not a plain hold is counted by
+one prefix-sum rule, `_any_fwd`; a backward window is the forward one
+over the reversed grid.  The verdicts share no code with the interval
+engine beyond the trace and the syntax tree, so agreement between the
+two is evidence, not tautology.  Only the resolution check
+(`check_resolution`) reads the engine's atom truth sets, from
+`atoms.build_table`, to measure exact feature widths.  The clocked
+baseline reuses the Boolean layer of `_GridEval`.  Cost is
+quadratic-ish in grid length; this is a test instrument, not a checker.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .expr import eval_expr, expr_signals
 from .trace import Trace
 
 _TOL = 1e-9
+_REFINE = 8  # how much finer than dt the resolution check samples
 
 
 def _bounds_of(p: ast.Property) -> list[float]:
@@ -86,33 +89,12 @@ class _GridEval:
             lo = hi = round(0.5 * (a + b) / self.dt)
         return lo, hi
 
-    def _widen(self, a: float, b: float) -> tuple[float, float] | None:
-        a2 = max(0.0, a - self.slack)
-        b2 = b + self.slack
-        if b2 < a2:
-            return None
-        return a2, b2
-
-    def _any_back(self, arr: np.ndarray, a: float, b: float) -> np.ndarray:
-        """out[k] = any arr[j] with t_k - t_j in [a:b]."""
-        win = self._widen(a, b)
-        if win is None:
-            return np.zeros(self.n, dtype=bool)
-        lo, hi = self._offsets(*win)
-        c = np.concatenate(([0], np.cumsum(arr.astype(np.int64))))
-        k = np.arange(self.n)
-        j1 = np.minimum(k - lo, self.n - 1)
-        j0 = np.maximum(k - hi, 0)
-        ok = j1 >= j0
-        cnt = c[np.clip(j1, -1, self.n - 1) + 1] - c[np.clip(j0, 0, self.n)]
-        return ok & (cnt > 0)
-
     def _any_fwd(self, arr: np.ndarray, a: float, b: float) -> np.ndarray:
-        """out[k] = any arr[j] with t_j - t_k in [a:b]."""
-        win = self._widen(a, b)
-        if win is None:
+        """out[k] = any arr[j] with t_j - t_k in [a:b], widened by the slack."""
+        a, b = max(0.0, a - self.slack), b + self.slack
+        if b < a:
             return np.zeros(self.n, dtype=bool)
-        lo, hi = self._offsets(*win)
+        lo, hi = self._offsets(a, b)
         c = np.concatenate(([0], np.cumsum(arr.astype(np.int64))))
         k = np.arange(self.n)
         j0 = np.maximum(k + lo, 0)
@@ -197,7 +179,8 @@ class _GridEval:
         if isinstance(s, ast.Repeat):
             return self._all_back(self.end(s.seq), s.dur)
         if isinstance(s, ast.Delay):
-            reach = self._any_back(self.end(s.left), s.lo, s.hi)
+            # any left end lo..hi back: the forward count over the grid reversed
+            reach = self._any_fwd(self.end(s.left)[::-1], s.lo, s.hi)[::-1]
             return reach & self.end(s.right)
         if isinstance(s, ast.RepeatUntil):
             return self._all_back(self.end(s.seq), s.lo) & self.end(s.cont)
@@ -216,12 +199,9 @@ class _GridEval:
         ends = restrict & self.end(s)
         if isinstance(s, ast.Repeat):
             return self.begin(s.seq, self._shift_back(ends, s.dur))
-        if isinstance(s, ast.Delay):
-            pulled = self._any_fwd(ends, s.lo, s.hi) & self.end(s.left)
-            return self.begin(s.left, pulled)
-        if isinstance(s, ast.RepeatUntil):
-            pulled = self._any_fwd(ends, s.lo, s.hi) & self.end(s.seq)
-            return self.begin(s.seq, pulled)
+        if isinstance(s, (ast.Delay, ast.RepeatUntil)):
+            first = s.left if isinstance(s, ast.Delay) else s.seq
+            return self.begin(first, self._any_fwd(ends, s.lo, s.hi) & self.end(first))
         raise TypeError(f"no grid semantics for {type(s).__name__}")
 
 
@@ -236,15 +216,11 @@ def _narrow_run(vec: np.ndarray, dt: float, dt_f: float):
     sits exactly on the domain edge, while the last one can fall up to
     dt short of it.
     """
-    if len(vec) < 2:
-        return None
     change = np.nonzero(vec[1:] != vec[:-1])[0]
     if len(change) == 0:
         return None
     edges = np.concatenate((change, [len(vec) - 1]))
     counts = np.diff(edges)
-    if len(counts) == 0:
-        return None
     k = int(np.argmin(counts))
     width = float(counts[k]) * dt_f
     if width < dt + 2 * dt_f:
@@ -284,16 +260,16 @@ def _narrow_atom_feature(trace: Trace, p: ast.Property, thresh: float):
     return None
 
 
-def check_resolution(trace: Trace, p: ast.Property, dt: float, refine: int = 8) -> None:
+def check_resolution(trace: Trace, p: ast.Property, dt: float) -> None:
     """Raise GridError when a dt grid can miss a truth feature entirely.
 
     Quantified windows amplify an unseen feature: a sub-dt gap in a
     repeated predicate shifts a whole run boundary, a sub-dt match run
     escapes a delay window.  Feature widths are measured on a grid
-    refined by ``refine``; event spike vectors are exempt (their
+    ``_REFINE`` times finer; event spike vectors are exempt (their
     predicates are what must be resolvable).
     """
-    dt_f = dt / refine
+    dt_f = dt / _REFINE
     hit = _narrow_atom_feature(trace, p, dt + 2 * dt_f)
     if hit is not None:
         width, where = hit
@@ -320,31 +296,29 @@ def check_resolution(trace: Trace, p: ast.Property, dt: float, refine: int = 8) 
             )
 
 
-def grid_resolves(trace: Trace, p: ast.Property, dt: float, refine: int = 8) -> bool:
+def grid_resolves(trace: Trace, p: ast.Property, dt: float) -> bool:
     """True when the dt grid is fine enough to see every truth feature."""
     try:
-        check_resolution(trace, p, dt, refine)
+        check_resolution(trace, p, dt)
     except GridError:
         return False
     return True
 
 
-def oracle_classify(trace: Trace, p: ast.Property, dt: float, slack: float | None = None):
+def oracle_classify(trace: Trace, p: ast.Property, dt: float):
     """Per-grid-point verdicts. Returns (grid times, list of kinds).
 
     Each point is judged twice, once with every quantifier window
-    widened by ``slack`` and once narrowed by it.  A verdict is issued
-    only when both sides agree; where they differ the point is within
-    grid slack of a window or duration bound and the kind is
-    "uncertain".  slack defaults to 3*dt, covering event placement,
-    index rounding, and one composed boundary shift.  slack=0 gives the
-    plain single-grid reading.
+    widened by a slack of 3*dt and once narrowed by it.  A verdict is
+    issued only when both sides agree; where they differ the point is
+    within grid slack of a window or duration bound and the kind is
+    "uncertain".  The slack covers event placement, index rounding, and
+    one composed boundary shift.
     """
     ast.validate(p)
     grid = _grid(trace, p, dt)
     check_resolution(trace, p, dt)
-    if slack is None:
-        slack = 3.0 * dt
+    slack = 3.0 * dt
 
     def side(s: float):
         ev = _GridEval(trace, grid, dt, slack=s)
@@ -355,7 +329,7 @@ def oracle_classify(trace: Trace, p: ast.Property, dt: float, slack: float | Non
         return em, bm
 
     em_lib, found_lib = side(slack)
-    em_cons, found_cons = (em_lib, found_lib) if slack == 0 else side(-slack)
+    em_cons, found_cons = side(-slack)
     kinds = []
     for k in range(len(grid)):
         if not em_lib[k]:

@@ -213,8 +213,7 @@ class _Parser:
     def rel(self, event: bool = False) -> ast.BExpr:
         """A comparison or a digital signal; in an ``event``, also the
         two-argument form ``V(sig), threshold``, a threshold crossing."""
-        tok = self.peek()
-        assert tok is not None
+        tok = self.peek()  # at the end of the text, arith raises ParseError
         left = self.arith()
         if any(map(self.at, (">", ">=", "<", "<=", "=="))) or (event and self.at(",")):
             op = self.take().kind

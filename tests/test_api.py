@@ -45,3 +45,22 @@ def test_benchmark_harness_contract():
     assert amscheck.horizon(p) == 0.0
     for kind in ("nonvacuous", "vacuous", "fail", "undetermined"):
         assert all(isinstance(iv, Interval) for iv in getattr(rep, kind).items)
+
+
+def test_benchmark_setup_probe_builds_the_stream_session(tmp_path):
+    """`benchmarks/run.py --probe-setup` builds a `Session` for the stream workload
+    in a fresh interpreter and prints its normalised setup time."""
+    import runpy
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    workloads = runpy.run_path(str(root / "benchmarks" / "workloads.py"))["WORKLOADS"]
+    props = tmp_path / "stream-noisy.txt"
+    props.write_text(workloads["stream-noisy"].props)
+    run = subprocess.run([sys.executable, str(root / "benchmarks" / "run.py"), "--probe-setup", str(props), "x"],
+                         capture_output=True, text=True, cwd=root, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    assert float(line) > 0

@@ -18,7 +18,7 @@ from amscheck import (
     parse_property,
 )
 from amscheck import ast as A
-from amscheck.atoms import BoolTracker, PorvTracker, _bool_components, _porv_components, bexpr_truth
+from amscheck.atoms import BoolTracker, PorvTracker, bexpr_truth
 from amscheck.expr import BinOp, Const, SignalRef
 from amscheck.wavegen import fixture_trace
 
@@ -309,7 +309,7 @@ def test_batch_runs_equal_sample_feed_bit_for_bit():
                 cols[name][i] = const.value / mul.value
                 zeros += 1
         tr = Trace(tr.times(), cols)
-        batch, fed = _porv_components(tr, porv, 1e-9), fed_components(PorvTracker(porv), tr)
+        batch, fed = PorvTracker(porv, 1e-9).trace_runs(tr), fed_components(PorvTracker(porv), tr)
         assert repr(batch) == repr(fed), (case, porv)
     assert zeros > 300 and nonaffine == 30
 
@@ -329,7 +329,7 @@ def test_bool_batch_runs_equal_sample_feed_bit_for_bit():
             d.append(d[-1] if rng.random() < stay else 1.0 - d[-1])
         flips += sum(a != b for a, b in zip(d, d[1:]))
         tr = Trace([t * 0.1 for t in times], {"d": d}, kinds={"d": "boolean"})
-        batch, fed = _bool_components(tr, "d"), fed_components(BoolTracker("d"), tr)
+        batch, fed = BoolTracker("d").trace_runs(tr), fed_components(BoolTracker("d"), tr)
         assert repr(batch) == repr(fed), (case, d)
     assert flips > 1000
 

@@ -9,7 +9,7 @@ import pytest
 from amscheck.cli import main, write_report
 from amscheck.engine import MatchReport
 from amscheck.wavegen import fixture_trace
-from amscheck import Interval, IntervalSet, save_csv
+from amscheck import Interval, IntervalSet, Trace, save_csv
 
 SETTLING = (
     "settling: @+{V(Vout)>0.12} |-> ##[0.001:0.004] "
@@ -171,6 +171,14 @@ class TestCheck:
         assert main(["check", str(trace), str(bad)]) == 2
         assert "line 1, col 22: unexpected character '²'" in capsys.readouterr().err
 
+    def test_unfinished_assertion_exit_two(self, settle_files, tmp_path, capsys):
+        trace, _ = settle_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a: {V(Vout)>0.5} |-> # consequent left out\n")
+        assert main(["check", str(trace), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1, col ") and "expected a number, signal" in err
+
     def test_empty_assertion_file_exit_two(self, settle_files, tmp_path, capsys):
         trace, _ = settle_files
         empty = tmp_path / "empty.txt"
@@ -279,6 +287,18 @@ class TestStream:
         _, props = settle_files
         monkeypatch.setattr("sys.stdin", io.StringIO("0.0 1.0\n0.0 2.0\n"))
         assert main(["stream", str(props), "--signals", "Vout:analog"]) == 2
+
+    @pytest.mark.parametrize("text", ["{V(d)>0.5} |-> {V(x)>0}", "{x} |-> {V(x)>0}", "{V(x)>0} |-> @+{w}"])
+    def test_signal_kind_error_same_as_check(self, tmp_path, monkeypatch, capsys, text):
+        props = tmp_path / "props.txt"
+        props.write_text(f"p: {text};\n")
+        trace = tmp_path / "t.csv"
+        save_csv(Trace([0.0, 1.0], {"x": [0.0, 1.0], "d": [0.0, 1.0]}, kinds={"d": "boolean"}), trace)
+        assert main(["check", str(trace), str(props)]) == 2
+        checked = capsys.readouterr().err
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0 0.0 0.0\n"))
+        assert main(["stream", str(props), "--signals", "x,d:boolean"]) == 2
+        assert capsys.readouterr().err == checked and checked.startswith("error: ")
 
     @pytest.mark.parametrize("signals", ["x,x", "x:analog,x:boolean", "x,y:analog,x"])
     def test_duplicate_signal_names_exit_two(self, tmp_path, monkeypatch, capsys, signals):

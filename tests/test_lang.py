@@ -186,6 +186,12 @@ class TestErrors:
         p = parse_property("{x} |-> {y};")
         validate(p)
 
+    @pytest.mark.parametrize("text", ["{x} |->", "{x} |-> {", "{V(x)>0.5} |-> ##[0:1]", "{x} |-> @+{", "{"])
+    def test_unfinished_assertion_is_a_parse_error(self, text):
+        # the text ends where a relation is expected
+        with pytest.raises(ParseError, match="expected a number, signal, or parenthesized expression"):
+            parse_property(text)
+
 
 class TestParseFile:
     def test_multiple_assertions_autonamed(self):

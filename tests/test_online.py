@@ -14,6 +14,8 @@ from amscheck import (
     ProtocolError,
     Session,
     Trace,
+    TraceError,
+    UnknownSignalError,
     assertion_match,
     build_table,
     depth,
@@ -189,6 +191,50 @@ class TestProtocol:
         s.feed(0.0, [0.0])
         s.feed(1.0, [6.0])
         assert s.finalize()  # some verdicts exist
+
+
+class TestSignalKinds:
+    """`check` and `stream` read an assertion's signals by one rule: `build_table`
+    over a trace and `Session` over the same declared kinds raise the same error."""
+
+    KINDS = {"v": "analog", "d": "boolean"}
+    BAD = ["V(w)>1", "w", "V(d)>0.5", "v", "V(v)+V(d)>1", "V(v)>1 && w"]
+    GOOD = ["V(v)>1", "d", "2*V(v)-1>=0", "V(v)>1 && d"]
+
+    @staticmethod
+    def forms(b):
+        yield "{V(v)>5} |-> ##[0:1] {%s};" % b
+        yield "{%s} |-> {V(v)<1};" % b
+        if "&&" not in b:
+            yield from ("{V(v)>5} |-> ##[0:1] @+{%s};" % b, "@-{%s} |-> {V(v)<1};" % b)
+
+    def error(self, fn):
+        with pytest.raises(Exception) as exc:
+            fn()
+        return type(exc.value), str(exc.value)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_same_error_offline_and_streamed(self, bad):
+        tr = Trace([0.0, 1.0, 2.0], {"v": [0.0, 6.0, 0.0], "d": [0.0, 1.0, 0.0]}, kinds=self.KINDS)
+        for text in self.forms(bad):
+            p = parse_property(text)
+            offline = self.error(lambda: build_table(tr, p))
+            assert offline == self.error(lambda: Session([p], self.KINDS)), text
+            assert issubclass(offline[0], (TraceError, UnknownSignalError)), text
+
+    def test_first_bad_atom_decides(self):
+        tr = Trace([0.0, 1.0], {"v": [0.0, 6.0], "d": [0.0, 1.0]}, kinds=self.KINDS)
+        p = parse_property("{V(w)>1} |-> {v};")
+        streamed = self.error(lambda: Session([p], self.KINDS))
+        assert streamed == self.error(lambda: build_table(tr, p)) and streamed[0] is UnknownSignalError
+
+    @pytest.mark.parametrize("good", GOOD)
+    def test_valid_signals_accepted_by_both(self, good):
+        tr = Trace([0.0, 1.0, 2.0], {"v": [0.0, 6.0, 0.0], "d": [0.0, 1.0, 0.0]}, kinds=self.KINDS)
+        for text in self.forms(good):
+            p = parse_property(text)
+            build_table(tr, p)
+            Session([p], self.KINDS)
 
 
 class TestObligations:

@@ -1,21 +1,26 @@
 """Grid-reference checker tests: sanity on fixtures, engine agreement."""
 
+import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _corpus import iter_cases
 
+from amscheck import ast as A
 from amscheck import (
     GridError,
+    Trace,
     assertion_match,
     build_table,
     oracle_classify,
     parse_property,
 )
+from amscheck.oracle import _GridEval
 from amscheck.wavegen import fixture_trace
 
 SETTLING = (
@@ -130,3 +135,52 @@ class TestEngineAgreement:
         # flips can only happen within quantization reach of a boundary;
         # on this waveform the regions are wide, so none at all
         assert flips <= 2
+
+
+class TestWindowCounts:
+    """The grid's window counts against O(n²) loops over every index pair."""
+
+    @staticmethod
+    def offsets(dt, a, b, slack):
+        """Grid offsets d whose lag d*dt lies in [a, b] widened by ``slack``, within
+        the grid's 1e-9 step tolerance; a window between two grid points takes
+        the point nearest its middle."""
+        a, b = max(0.0, a - slack), b + slack
+        if b < a:
+            return []
+        offs = [d for d in range(int(b / dt) + 2) if a - 1e-9 * dt <= d * dt <= b + 1e-9 * dt]
+        return offs or [round(0.5 * (a + b) / dt)]
+
+    def cases(self):
+        rng = random.Random(2024)
+        for case in range(400):
+            n = rng.randint(1, 30)
+            dt = rng.choice([1.0, 0.25, 1e-3, 3e-7])
+            arr = np.array([rng.random() < rng.choice([0.05, 0.3, 0.8]) for _ in range(n)])
+            if case % 4 == 0:
+                a = b = rng.randint(0, n + 2) * dt  # a point window
+            elif case % 4 == 1:
+                a, b = rng.uniform(0, 2) * dt, rng.uniform(n, 3 * n) * dt  # wider than the grid
+            else:
+                a = rng.uniform(0, n) * dt
+                b = a + rng.choice([0.0, rng.uniform(0, 0.9), rng.uniform(0, n)]) * dt
+            slack = rng.choice([0.0, 3.0, -3.0, rng.uniform(-n, n)]) * dt
+            yield n, dt, arr, a, b, slack
+
+    def test_forward_and_backward_counts_equal_brute_force(self):
+        left, right = A.SeqBool(A.BoolSignal("p")), A.SeqBool(A.BoolSignal("q"))
+        seen = {"point": 0, "wide": 0, "narrowed away": 0}
+        for n, dt, arr, a, b, slack in self.cases():
+            grid = dt * np.arange(n)
+            ev = _GridEval(Trace([0.0, 1.0], {"x": [0.0, 0.0]}), grid, dt, slack=slack)
+            offs = self.offsets(dt, a, b, slack)
+            fwd = [any(arr[k + d] for d in offs if k + d < n) for k in range(n)]
+            back = [any(arr[k - d] for d in offs if k - d >= 0) for k in range(n)]
+            assert ev._any_fwd(arr, a, b).tolist() == fwd, (n, dt, a, b, slack)
+            # _end reads a delay's left end matches lo..hi back, through the reversed grid
+            ev._em[left], ev._em[right] = arr, np.ones(n, dtype=bool)
+            assert ev.end(A.Delay(left, a, b, right)).tolist() == back, (n, dt, a, b, slack)
+            seen["point"] += a == b
+            seen["wide"] += bool(offs) and max(offs) >= n
+            seen["narrowed away"] += not offs
+        assert min(seen.values()) > 20, seen
