@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .intervals import (
-    EMPTY,
     TIME_TOL,
     Interval,
     IntervalSet,
@@ -53,7 +52,6 @@ __all__ = [
     "CodegenConfig",
     "CodegenError",
     "DomainError",
-    "EMPTY",
     "GridError",
     "Interval",
     "IntervalSet",

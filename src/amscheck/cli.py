@@ -6,7 +6,7 @@ reference classification), codegen (Verilog-AMS monitor text), and
 genwave (synthetic trace CSV from a waveform spec).
 
 Exit codes: 0 clean, 1 at least one fail interval/verdict, 2 usage,
-IO, parse, or protocol errors.
+IO (including input that is not UTF-8), parse, or protocol errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import AmscheckError, ProtocolError
 from .intervals import TIME_TOL, Interval, IntervalSet, key_text
 from .online import Session
 from .oracle import oracle_classify
-from .parser import parse_file
+from .parser import VALUE_TOL, parse_file
 from .trace import load_csv, save_csv
 from .wavegen import fixture_spec, generate, load_spec
 
@@ -84,7 +84,7 @@ def write_report(f, trace_path: str, domain: Interval, time_tol: float, reports)
 
 
 def _load_assertions(path: str, value_tol: float):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         text = f.read()
     props = parse_file(text, value_tol=value_tol)
     if not props:
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--time-tol", type=_number(">="), default=TIME_TOL, help="time comparison tolerance in seconds")
-        p.add_argument("--value-tol", type=_number(">="), default=1e-6, help="tolerance used to desugar == on analog values")
+        p.add_argument("--value-tol", type=_number(">="), default=VALUE_TOL, help="tolerance used to desugar == on analog values")
         p.add_argument("--assert-name", default=None, help="check only the named assertion")
 
     p = sub.add_parser("check", help="check a trace CSV against an assertion file")
@@ -315,10 +315,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except AmscheckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (AmscheckError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,10 @@ conventional sampled-logic view of a delay requirement; it sees only
 clock ticks, so a violation that lives between ticks can pass here
 while the dense-time checker reports it.
 
-The Boolean layer is the grid oracle's, evaluated over the clock ticks;
-only the signal samples are taken here, with `Trace.value_at`'s
-interpolation.  Like the oracle, this baseline shares no code with the
-interval engine.
+The ticks, the signal samples (`Trace.value_at`'s interpolation) and
+the Boolean layer are the grid oracle's, evaluated over the clock
+ticks.  Like the oracle, this baseline shares no code with the interval
+engine.
 """
 
 from __future__ import annotations
@@ -19,26 +19,8 @@ import numpy as np
 
 from . import ast
 from .errors import AmscheckError
-from .oracle import _GridEval, _has_event
+from .oracle import _GridEval, _has_event, _ticks
 from .trace import Trace
-
-
-def _sample(trace: Trace, name: str, t: np.ndarray) -> np.ndarray:
-    """`Trace.value_at` at every instant of ``t``, computed the same way, so bit for bit equal."""
-    ts, col = trace.times(), trace.values(name)
-    i = ts.searchsorted(t, side="right") - 1
-    if trace.kinds[name] == "boolean":
-        return col[i]
-    j = np.minimum(i + 1, len(ts) - 1)
-    inner = (j > i) & (t != ts[i])
-    return np.where(inner, col[i] + (col[j] - col[i]) * (t - ts[i]) / np.where(inner, ts[j] - ts[i], 1.0), col[i])
-
-
-class _ClockEval(_GridEval):
-    """The oracle's Boolean layer on clock ticks, with signals sampled by `_sample`."""
-
-    def signal(self, name: str) -> np.ndarray:
-        return _sample(self.trace, name, self.grid)
 
 
 def sample_on_clock(trace: Trace, b: ast.BExpr, period: float) -> np.ndarray:
@@ -47,10 +29,7 @@ def sample_on_clock(trace: Trace, b: ast.BExpr, period: float) -> np.ndarray:
         raise AmscheckError("clock period must be positive")
     if _has_event(b):
         raise AmscheckError("clocked sampling cannot evaluate EventAtom")
-    lo, hi = trace.domain.lo, trace.domain.hi
-    n = int(np.floor((hi - lo) / period + 1e-9))
-    ticks = np.minimum(lo + np.arange(n + 1) * period, hi)
-    return _ClockEval(trace, ticks, period).bexpr(b)
+    return _GridEval(trace, _ticks(trace.domain.lo, trace.domain.hi, period), period).bexpr(b)
 
 
 def rises(arr: np.ndarray) -> list[int]:

@@ -3,13 +3,14 @@
 An expression tree references analog signals through ``V(name)`` nodes
 and evaluates against an environment mapping signal names to floats or
 numpy arrays, so the same tree serves both pointwise and vectorized
-evaluation.
+evaluation.  `iter_expr` is the one walk over a tree's nodes; the other
+functions here are folds with their own rule per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -60,22 +61,21 @@ def eval_expr(e: Expr, env):
     raise ValueError(f"unknown operator {e.op!r}")
 
 
+def iter_expr(e: Expr) -> Iterator[Expr]:
+    """``e`` and every node below it, pre-order, left operand first."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        if isinstance(n, BinOp):
+            stack += (n.right, n.left)
+        elif isinstance(n, Neg):
+            stack.append(n.operand)
+
+
 def expr_signals(e: Expr) -> tuple[str, ...]:
     """Signal names referenced, in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, SignalRef):
-            if node.name not in out:
-                out.append(node.name)
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-
-    walk(e)
-    return tuple(out)
+    return tuple(dict.fromkeys(n.name for n in iter_expr(e) if isinstance(n, SignalRef)))
 
 
 def is_affine(e: Expr) -> bool:

@@ -93,9 +93,6 @@ class Interval:
         return "{}" if self.is_empty else key_text(self.key)
 
 
-EMPTY = Interval(math.inf, -math.inf, False, False)
-
-
 def key_text(k: Key) -> str:
     """A component as ``[lo:hi]``, with ``(`` or ``)`` at an open end and ``%g`` numbers."""
     return "%s%g:%g%s" % ("[("[k[1]], k[0], k[2], ")]"[k[3]])

@@ -8,9 +8,14 @@ over the reversed grid.  The verdicts share no code with the interval
 engine beyond the trace and the syntax tree, so agreement between the
 two is evidence, not tautology.  Only the resolution check
 (`check_resolution`) reads the engine's atom truth sets, from
-`atoms.build_table`, to measure exact feature widths.  The clocked
-baseline reuses the Boolean layer of `_GridEval`.  Cost is
-quadratic-ish in grid length; this is a test instrument, not a checker.
+`atoms.build_table`, to measure exact feature widths.
+
+Every grid, here and in the clocked baseline, comes from one tick
+formula (`_ticks`), and every signal value on it from one sampler
+(`_sample`, which computes `Trace.value_at`'s interpolation, bit for
+bit).  The clocked baseline evaluates the Boolean layer of `_GridEval`
+on its clock ticks.  Cost is quadratic-ish in grid length; this is a
+test instrument, not a checker.
 """
 
 from __future__ import annotations
@@ -48,9 +53,23 @@ def _grid(trace: Trace, p: ast.Property, dt: float) -> np.ndarray:
     min_gap = float(np.min(np.diff(times)))
     if dt > min_gap + _TOL:
         raise GridError(f"dt={dt} exceeds the smallest sample spacing {min_gap}")
-    t0, t1 = trace.domain.lo, trace.domain.hi
-    n = int(math.floor((t1 - t0) / dt + _TOL))
-    return t0 + dt * np.arange(n + 1)
+    return _ticks(trace.domain.lo, trace.domain.hi, dt)
+
+
+def _ticks(lo: float, hi: float, step: float) -> np.ndarray:
+    """``lo + k*step`` for every k that reaches no further than ``hi`` (to within _TOL steps)."""
+    return lo + step * np.arange(math.floor((hi - lo) / step + _TOL) + 1)
+
+
+def _sample(trace: Trace, name: str, t: np.ndarray) -> np.ndarray:
+    """`Trace.value_at` at every instant of ``t``, computed the same way, so bit for bit equal."""
+    ts, col = trace.times(), trace.values(name)
+    i = ts.searchsorted(t, side="right") - 1
+    if trace.kinds[name] == "boolean":
+        return col[i]
+    j = np.minimum(i + 1, len(ts) - 1)
+    inner = (j > i) & (t != ts[i])
+    return np.where(inner, col[i] + (col[j] - col[i]) * (t - ts[i]) / np.where(inner, ts[j] - ts[i], 1.0), col[i])
 
 
 class _GridEval:
@@ -71,13 +90,7 @@ class _GridEval:
 
     def signal(self, name: str) -> np.ndarray:
         if name not in self._sig:
-            times = self.trace.times()
-            vals = self.trace.values(name)
-            if self.trace.kinds[name] == "analog":
-                self._sig[name] = np.interp(self.grid, times, vals)
-            else:
-                idx = np.searchsorted(times, self.grid, side="right") - 1
-                self._sig[name] = vals[np.clip(idx, 0, len(vals) - 1)]
+            self._sig[name] = _sample(self.trace, name, self.grid)
         return self._sig[name]
 
     # -- index windows --------------------------------------------------
@@ -277,9 +290,7 @@ def check_resolution(trace: Trace, p: ast.Property, dt: float) -> None:
             f"dt={dt} can step over a predicate feature of width "
             f"{width:.3g} near t={where:.6g}"
         )
-    t0, t1 = trace.domain.lo, trace.domain.hi
-    n = int(math.floor((t1 - t0) / dt_f + _TOL))
-    grid = t0 + dt_f * np.arange(n + 1)
+    grid = _ticks(trace.domain.lo, trace.domain.hi, dt_f)
     ev = _GridEval(trace, grid, dt_f)
     nodes = list(ast.iter_nodes(p))
     vecs = [ev.end(s) for s in nodes if isinstance(s, ast.SEQS) and not _has_event(s)]
@@ -330,17 +341,5 @@ def oracle_classify(trace: Trace, p: ast.Property, dt: float):
 
     em_lib, found_lib = side(slack)
     em_cons, found_cons = side(-slack)
-    kinds = []
-    for k in range(len(grid)):
-        if not em_lib[k]:
-            kinds.append("vacuous")
-        elif em_cons[k]:
-            if found_cons[k]:
-                kinds.append("match")
-            elif not found_lib[k]:
-                kinds.append("fail")
-            else:
-                kinds.append("uncertain")
-        else:
-            kinds.append("uncertain")
-    return grid, kinds
+    cases = [~em_lib, em_cons & found_cons, em_cons & ~found_lib]
+    return grid, np.select(cases, ["vacuous", "match", "fail"], "uncertain").tolist()

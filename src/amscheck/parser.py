@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .errors import ParseError, UnsupportedFeatureError
-from .expr import BinOp, Const, Expr, Neg, SignalRef
+from .expr import BinOp, Const, Expr, Neg, SignalRef, iter_expr
 
 #: Half-width of the band an analog equality comparison expands into.
 VALUE_TOL = 1e-6
@@ -100,29 +100,23 @@ class _Parser:
         return t is not None and t.kind == "id" and t.text == word
 
     def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        """The next token, consumed; callers check with `peek` or `at` that there is one."""
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t is None or t.kind != kind:
-            got = t.text if t else "end of input"
-            where = (t.line, t.col) if t else self._eof_pos()
-            raise ParseError(f"expected {kind!r}, got {got!r}", *where)
+            raise self.fail(f"expected {kind!r}, got {t.text if t else 'end of input'!r}")
         return self.take()
 
-    def _eof_pos(self) -> tuple[int, int]:
-        last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
-        return last.line, last.col + len(last.text)
-
     def fail(self, msg: str) -> ParseError:
+        """A ParseError at the next token, or just past the last one at the end of the text."""
         t = self.peek()
-        where = (t.line, t.col) if t else self._eof_pos()
-        return ParseError(msg, *where)
+        if t is not None:
+            return ParseError(msg, t.line, t.col)
+        last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
+        return ParseError(msg, last.line, last.col + len(last.text))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -171,20 +165,6 @@ class _Parser:
 
     # -- relations ------------------------------------------------------
 
-    def _reject_boolref(self, e: Expr, tok: _Tok) -> None:
-        if isinstance(e, _BoolRef):
-            raise ParseError(
-                f"digital signal {e.name!r} cannot appear in arithmetic; use V({e.name}) "
-                "for analog values",
-                tok.line,
-                tok.col,
-            )
-        if isinstance(e, Neg):
-            self._reject_boolref(e.operand, tok)
-        elif isinstance(e, BinOp):
-            self._reject_boolref(e.left, tok)
-            self._reject_boolref(e.right, tok)
-
     def make_rel(self, left: Expr, op: str, right: Expr, tok: _Tok) -> ast.BExpr:
         if isinstance(left, _BoolRef):
             if op == "==" and isinstance(right, Const) and right.value in (0.0, 1.0):
@@ -195,8 +175,13 @@ class _Parser:
                 tok.line,
                 tok.col,
             )
-        self._reject_boolref(left, tok)
-        self._reject_boolref(right, tok)
+        for e in (*iter_expr(left), *iter_expr(right)):
+            if isinstance(e, _BoolRef):
+                raise ParseError(
+                    f"digital signal {e.name!r} cannot appear in arithmetic; use V({e.name}) for analog values",
+                    tok.line,
+                    tok.col,
+                )
         f = left if (isinstance(right, Const) and right.value == 0.0) else BinOp("-", left, right)
         if op == ">":
             return ast.Porv(f, ">")
@@ -337,7 +322,7 @@ class _Parser:
             node = ast.Delay(node, a, b, self.unit(), pos=pos)
         return node
 
-    def property_body(self) -> ast.Property:
+    def property_body(self, name: str) -> ast.Property:
         ante = self.seq()
         self.expect("|->")
         delay = None
@@ -346,7 +331,7 @@ class _Parser:
             a, b, _ = self.bounds()
             delay = (a, b)
         cons = self.seq()
-        return ast.Property(ante, cons, delay)
+        return ast.Property(ante, cons, delay, name=name)
 
     # -- file level -----------------------------------------------------
 
@@ -354,7 +339,8 @@ class _Parser:
         props: list[ast.Property] = []
         auto = 0
         while self.peek() is not None:
-            if self.at_kw("property"):
+            block = self.at_kw("property")
+            if block:
                 self.take()
                 name = self.expect("id").text
                 if self.at("{"):
@@ -362,37 +348,32 @@ class _Parser:
                     self.expect("}")
                 if self.at(";"):
                     self.take()
-                body = self.property_body()
-                self.expect(";")
+            elif self.at("id") and self.at(":", 1):
+                name = self.take().text
+                self.take()
+            else:
+                auto += 1
+                name = f"a{auto}"
+            props.append(self.property_body(name))
+            self.expect(";")
+            if block:
                 if not self.at_kw("endproperty"):
                     raise self.fail("expected 'endproperty'")
                 self.take()
                 if self.at(";"):
                     self.take()
-            else:
-                if self.at("id") and self.at(":", 1):
-                    name = self.take().text
-                    self.take()
-                else:
-                    auto += 1
-                    name = f"a{auto}"
-                body = self.property_body()
-                self.expect(";")
-            props.append(
-                ast.Property(body.antecedent, body.consequent, body.delay, name=name)
-            )
         return props
 
 
 def parse_property(text: str, name: str = "", value_tol: float = VALUE_TOL) -> ast.Property:
     """Parse and validate a single property expression (no trailing ';')."""
     parser = _Parser(_lex(text), value_tol)
-    body = parser.property_body()
+    prop = parser.property_body(name)
     if parser.at(";"):
         parser.take()
     if parser.peek() is not None:
         raise parser.fail("trailing input after property")
-    return ast.validate(ast.Property(body.antecedent, body.consequent, body.delay, name=name))
+    return ast.validate(prop)
 
 
 def parse_file(text: str, value_tol: float = VALUE_TOL) -> list[ast.Property]:

@@ -21,7 +21,8 @@ comma-separated numbers with optional surrounding whitespace, one per
 header column; ``#`` starts a comment and blank lines are skipped, by a
 filter that feeds the call batches of lines.  Quoted cells, ``1_0``
 digit separators and non-ASCII digits are rejected.  A malformed row
-raises ``TraceError`` naming its line.
+raises ``TraceError`` naming its line.  The file is read as UTF-8,
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def load_csv(path) -> Trace:
     header: list[str] | None = None
     kinds: dict[str, str] = {}
     first_data: int | None = None  # line number of the first data row
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
             if row == [""] or (header is None and row[0].startswith("#")):
@@ -198,7 +199,7 @@ def load_csv(path) -> Trace:
         data = np.empty((0, len(header)))
     elif data is None:
         # a malformed line among the data rows: find it
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = _checked_rows(path, islice(fh, first_data - 1, None), first_data, len(header))
     return Trace(data[:, 0], {name: data[:, j] for j, name in enumerate(header[1:], 1)}, kinds)
 

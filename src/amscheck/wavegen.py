@@ -24,11 +24,13 @@ _FIXTURES = {
 }
 
 
+# What a spec of the wrong shape raises while it is read: a missing key, a
+# value of the wrong type, a number that does not parse.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
 def _seg_knots(seg: dict, kind: str) -> list[tuple[float, float]]:
-    try:
-        typ = seg["type"]
-    except (TypeError, KeyError):
-        raise TraceError(f"segment needs a 'type': {seg!r}") from None
+    typ = seg["type"]
     if typ == "pwl":
         pts = seg.get("points")
         if not isinstance(pts, list) or not pts:
@@ -40,31 +42,18 @@ def _seg_knots(seg: dict, kind: str) -> list[tuple[float, float]]:
             out.append((float(p[0]), float(p[1])))
         return out
     if typ == "ramp":
-        try:
-            return [
-                (float(seg["t0"]), float(seg["v0"])),
-                (float(seg["t1"]), float(seg["v1"])),
-            ]
-        except KeyError as e:
-            raise TraceError(f"ramp segment missing {e}") from None
+        return [(float(seg["t0"]), float(seg["v0"])), (float(seg["t1"]), float(seg["v1"]))]
     if typ == "exp":
         # exponential settle toward a target, sampled into pwl knots
-        try:
-            t0, t1 = float(seg["t0"]), float(seg["t1"])
-            v0, target, tau = float(seg["v0"]), float(seg["target"]), float(seg["tau"])
-        except KeyError as e:
-            raise TraceError(f"exp segment missing {e}") from None
+        t0, t1 = float(seg["t0"]), float(seg["t1"])
+        v0, target, tau = float(seg["v0"]), float(seg["target"]), float(seg["tau"])
         if tau <= 0 or t1 <= t0:
             raise TraceError("exp segment needs tau > 0 and t1 > t0")
         n = int(seg.get("steps", 50))
         ts = np.linspace(t0, t1, n + 1)
         return [(float(t), float(target + (v0 - target) * np.exp(-(t - t0) / tau))) for t in ts]
     if typ == "square":
-        try:
-            t0, t1 = float(seg["t0"]), float(seg["t1"])
-            period = float(seg["period"])
-        except KeyError as e:
-            raise TraceError(f"square segment missing {e}") from None
+        t0, t1, period = float(seg["t0"]), float(seg["t1"]), float(seg["period"])
         duty = float(seg.get("duty", 0.5))
         lo_v = float(seg.get("low", 0.0))
         hi_v = float(seg.get("high", 1.0))
@@ -85,6 +74,10 @@ def _seg_knots(seg: dict, kind: str) -> list[tuple[float, float]]:
     raise TraceError(f"unknown segment type {typ!r}")
 
 
+def _reason(e: Exception) -> str:
+    return f"missing key {e}" if isinstance(e, KeyError) else str(e)
+
+
 def generate(spec: dict) -> Trace:
     """Build a trace from a waveform spec dict."""
     if not isinstance(spec, dict) or "signals" not in spec:
@@ -95,23 +88,27 @@ def generate(spec: dict) -> Trace:
     knots: dict[str, list[tuple[float, float]]] = {}
     kinds: dict[str, str] = {}
     for name, s in sig_spec.items():
-        kind = s.get("kind", "analog")
-        if kind not in KINDS:
-            raise TraceError(f"signal {name!r}: unknown kind {kind!r}")
-        kinds[name] = kind
-        pts: list[tuple[float, float]] = []
-        for seg in s.get("segments", []):
-            pts.extend(_seg_knots(seg, kind))
+        try:
+            kind = s.get("kind", "analog")
+            if kind not in KINDS:
+                raise TraceError(f"signal {name!r}: unknown kind {kind!r}")
+            kinds[name] = kind
+            pts = [knot for seg in s.get("segments", []) for knot in _seg_knots(seg, kind)]
+        except _MALFORMED as e:
+            raise TraceError(f"signal {name!r}: malformed spec: {_reason(e)}") from None
         if len(pts) < 2:
             raise TraceError(f"signal {name!r} needs at least two knots")
         for (a, _), (b, _) in zip(pts, pts[1:]):
             if b <= a:
                 raise TraceError(f"signal {name!r}: knot times must increase ({b} after {a})")
         knots[name] = pts
-    t_end = spec.get("t_end")
-    all_times = sorted({t for pts in knots.values() for t, _ in pts} | ({float(t_end)} if t_end is not None else set()))
+    try:
+        t_end = None if spec.get("t_end") is None else float(spec["t_end"])
+    except _MALFORMED as e:
+        raise TraceError(f"malformed spec: t_end: {_reason(e)}") from None
+    all_times = sorted({t for pts in knots.values() for t, _ in pts} | ({t_end} if t_end is not None else set()))
     if t_end is not None:
-        all_times = [t for t in all_times if t <= float(t_end) + 1e-15]
+        all_times = [t for t in all_times if t <= t_end + 1e-15]
     times = np.asarray(all_times, dtype=float)
     columns: dict[str, np.ndarray] = {}
     for name, pts in knots.items():
@@ -126,7 +123,7 @@ def generate(spec: dict) -> Trace:
 
 
 def load_spec(path: str) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:

@@ -1,7 +1,7 @@
 """The package's export list and the CLI defaults that mirror library constants."""
 
 import amscheck
-from amscheck import intervals
+from amscheck import intervals, parser
 from amscheck.cli import build_parser
 
 
@@ -15,7 +15,9 @@ def test_all_unique_and_resolvable():
 def test_time_tol_default_is_library_tolerance():
     ap = build_parser()
     for argv in (["check", "t.csv", "p.txt"], ["stream", "p.txt", "--signals", "x:analog"]):
-        assert ap.parse_args(argv).time_tol == intervals.TIME_TOL
+        args = ap.parse_args(argv)
+        assert args.time_tol == intervals.TIME_TOL
+        assert args.value_tol == parser.VALUE_TOL
 
 
 def test_benchmark_harness_contract():

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,41 @@ class TestCheckStreamEquivalence:
             r["interval"][:2] for r in rows if r.get("kind") == "fail"
         ]
         assert [f[:2] for f in offline_fail] == online_fail
+
+
+class TestNoTraceback:
+    """Bad input files end in one `error:` line and exit 2 from the real command
+    line, never in a traceback (which exits 1, the code for a failed assertion)."""
+
+    CASES = {
+        "spec-signal-not-a-mapping": ("genwave", {"signals": {"x": 5}}),
+        "spec-point-not-a-number": ("genwave", {"signals": {"v": {"segments": [
+            {"type": "pwl", "points": [["a", 1], [1, 2]]}]}}}),
+        "spec-segments-not-a-list": ("genwave", {"signals": {"v": {"segments": 7}}}),
+        "spec-t-end-not-a-number": ("genwave", {"t_end": "z", "signals": {"v": {"segments": [
+            {"type": "pwl", "points": [[0, 0], [1, 1]]}]}}}),
+        "trace-header-not-utf8": ("trace", b"time,x\xff\n0,1\n1,2\n"),
+        "trace-row-not-utf8": ("trace", b"time,x\n0,1\n1,2\n2,\xff3\n"),
+        "assertions-not-utf8": ("assertions", b"p: {V(x)>0} |-> {V(x)>0}; # \xff\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_input_exits_two_without_traceback(self, tmp_path, case):
+        what, content = self.CASES[case]
+        trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        trace.write_bytes(b"time,x\n0,1\n1,2\n")
+        props.write_bytes(b"p: {V(x)>0} |-> {V(x)>0};\n")
+        if what == "genwave":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(content))
+            argv = ["genwave", str(spec), "--out", str(tmp_path / "w.csv")]
+        else:
+            (trace if what == "trace" else props).write_bytes(content)
+            argv = ["check", str(trace), str(props)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        run = subprocess.run([sys.executable, "-m", "amscheck.cli", *argv], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert [line for line in run.stderr.splitlines() if line.startswith("error: ")], run.stderr

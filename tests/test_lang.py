@@ -186,6 +186,26 @@ class TestErrors:
         p = parse_property("{x} |-> {y};")
         validate(p)
 
+    @pytest.mark.parametrize("text, col, name", [
+        ("{d + V(x) > 0}", 2, "d"),  # left operand
+        ("{V(x) + d > 0}", 2, "d"),  # right operand
+        ("{-d > 0}", 2, "d"),  # under unary minus
+        ("{(V(x) - d) >= 0}", 2, "d"),  # inside parentheses
+        ("{ 2 * d < V(x)}", 3, "d"),  # inside a product
+        ("{V(x) > d}", 2, "d"),  # right side of the relation
+        ("{d * 2 <= V(x)}", 2, "d"),  # left side of the relation
+        ("{V(x) > 1 && V(y) - e == e}", 14, "e"),  # the first one, in the second conjunct
+        ("{V(x) - a > b}", 2, "a"),
+    ])
+    def test_digital_signal_in_arithmetic(self, text, col, name):
+        msg = f"line 1, col {col}: digital signal {name!r} cannot appear in arithmetic; use V({name}) for analog values"
+        with pytest.raises(ParseError) as exc:
+            parse_property(text + " |-> {V(x) > 0};")
+        assert str(exc.value) == msg
+        with pytest.raises(ParseError) as exc:
+            parse_property("{V(x) > 0} |-> " + text)
+        assert str(exc.value) == msg.replace(f"col {col}", f"col {col + 15}")
+
     @pytest.mark.parametrize("text", ["{x} |->", "{x} |-> {", "{V(x)>0.5} |-> ##[0:1]", "{x} |-> @+{", "{"])
     def test_unfinished_assertion_is_a_parse_error(self, text):
         # the text ends where a relation is expected

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _corpus import iter_cases
+from _corpus import iter_cases, random_trace
 
 from amscheck import ast as A
 from amscheck import (
@@ -20,7 +20,7 @@ from amscheck import (
     oracle_classify,
     parse_property,
 )
-from amscheck.oracle import _GridEval
+from amscheck.oracle import _GridEval, _ticks
 from amscheck.wavegen import fixture_trace
 
 SETTLING = (
@@ -184,3 +184,22 @@ class TestWindowCounts:
             seen["wide"] += bool(offs) and max(offs) >= n
             seen["narrowed away"] += not offs
         assert min(seen.values()) > 20, seen
+
+
+def test_grid_samples_equal_value_at_bit_for_bit():
+    """The grid's one sampler is `Trace.value_at`'s rule: the same float at every
+    grid point, for analog and boolean signals alike."""
+    rng = random.Random(77)
+    for _ in range(100):
+        tr = random_trace(rng)
+        times = tr.times()
+        cols = {s: tr.values(s) for s in tr.signals}
+        cols["d"] = np.array([float(rng.random() < 0.5) for _ in times])
+        tr = Trace(times, cols, kinds={"d": "boolean"})
+        dt = 1.0 / rng.uniform(50, 500)
+        lo, hi = tr.domain.lo, tr.domain.hi
+        grid = np.union1d(_ticks(lo, hi, dt), times)  # the sample instants themselves too
+        ev = _GridEval(tr, grid, dt)
+        for s in tr.signals:
+            want = np.array([tr.value_at(s, min(t, hi)) for t in grid.tolist()])
+            assert ev.signal(s).tobytes() == want.tobytes(), s

@@ -10,7 +10,7 @@ from _corpus import random_property
 from _lex_reference import reference_lex
 from amscheck import ast as A
 from amscheck import ParseError, generate_monitors, parse_file, parse_property, pretty
-from amscheck.expr import BinOp, Const, Neg, SignalRef, format_number
+from amscheck.expr import BinOp, Const, Neg, SignalRef, expr_signals, format_number, iter_expr
 from amscheck.parser import _lex
 
 FIXTURE_PROPS = """\
@@ -61,6 +61,22 @@ class TestIterNodes:
     def test_collect_atoms_first_occurrence_order(self):
         p = parse_property("{V(a)>0 && V(b)>0} |-> {V(b)>0 && V(a)>0 && @+{V(a)>0}};")
         assert [str(a) for a in A.collect_atoms(p)] == ["V(a) > 0", "V(b) > 0", "@+{V(a) > 0}"]
+
+
+class TestIterExpr:
+    def test_pre_order_left_operand_first(self):
+        a, b, two = SignalRef("a"), SignalRef("b"), Const(2.0)
+        prod = BinOp("*", two, b)
+        neg = Neg(prod)
+        e = BinOp("-", a, neg)
+        assert [n for n in iter_expr(e)] == [e, a, neg, prod, two, b]
+        assert list(iter_expr(a)) == [a]
+
+    def test_expr_signals_first_occurrence_order(self):
+        e = parse_property("{V(b) * (V(a) - V(b)) / -(V(c) + -V(a)) > V(d) - V(c)} |-> {1 > 0};").antecedent.bexpr.expr
+        assert expr_signals(e) == ("b", "a", "c", "d")
+        assert expr_signals(Const(1.0)) == ()
+        assert expr_signals(Neg(Neg(SignalRef("x")))) == ("x",)
 
 
 class TestNumberFormat:

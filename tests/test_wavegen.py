@@ -82,10 +82,23 @@ class TestErrors:
         {"signals": {"v": {"segments": [{"type": "ramp", "t0": 0, "t1": 1}]}}},
         {"signals": {"v": {"segments": [
             {"type": "exp", "t0": 0, "t1": 1, "v0": 0, "target": 1, "tau": -1}]}}},
+        # malformed shapes: the wrong type where a mapping, list or number belongs
+        {"signals": {"x": 5}},
+        {"signals": {"v": {"segments": [{"type": "pwl", "points": [["a", 1], [1, 2]]}]}}},
+        {"signals": {"v": {"segments": 7}}},
+        {"signals": {"v": {"segments": [7]}}},
+        {"signals": {"v": {"segments": [{"type": "square", "t0": 0, "t1": 1, "period": 0.5, "duty": [1]}]}}},
+        {"t_end": "z", "signals": {"v": {"segments": [{"type": "pwl", "points": [[0, 0], [1, 1]]}]}}},
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises(TraceError):
             generate(bad)
+
+    def test_malformed_spec_names_the_signal(self):
+        with pytest.raises(TraceError, match=r"^signal 'v': malformed spec: missing key 'v1'$"):
+            generate({"signals": {"v": {"segments": [{"type": "ramp", "t0": 0, "t1": 1, "v0": 0}]}}})
+        with pytest.raises(TraceError, match=r"^signal 'x': malformed spec: 'int' object has no attribute 'get'$"):
+            generate({"signals": {"x": 5}})
 
 
 class TestDeterminism:
