@@ -8,7 +8,7 @@ oracle for differential testing, and a Verilog-AMS monitor generator.
 """
 
 from .ast import Property, collect_atoms, depth, horizon, pretty, validate
-from .atoms import AtomTable, bexpr_truth, build_table
+from .atoms import AtomTable, build_table
 from .codegen import CodegenConfig, generate_monitors
 from .engine import MatchReport, assertion_match
 from .errors import (
@@ -16,6 +16,7 @@ from .errors import (
     BoundError,
     CodegenError,
     DomainError,
+    EncodingError,
     GridError,
     InvalidDelayError,
     ParseError,
@@ -52,6 +53,7 @@ __all__ = [
     "CodegenConfig",
     "CodegenError",
     "DomainError",
+    "EncodingError",
     "GridError",
     "Interval",
     "IntervalSet",
@@ -71,7 +73,6 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "assertion_match",
-    "bexpr_truth",
     "build_table",
     "collect_atoms",
     "depth",

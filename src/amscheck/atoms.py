@@ -29,7 +29,8 @@ One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
 `build_table`, the trackers for a streaming snapshot), the domain the
 sets are clipped to, and the interval that event points are placed
-against.  Each atom's set is built on its first lookup.
+against.  Each atom's set is built on its first lookup.  This module
+builds truth runs and atom sets only; `engine._Evaluator` combines them.
 
 Event semantics: an event marks the boundary instant where a
 predicate's truth starts (pos) or ends (neg).  The trace start carries
@@ -47,7 +48,7 @@ import numpy as np
 from . import ast
 from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
-from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet, set_complement, set_intersect, set_union
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet
 from .trace import Trace
 
 
@@ -313,18 +314,3 @@ def build_table(
     tab._base, tab._runs = {}, None  # every set is built; drop the runs and the trace
     return tab
 
-
-def bexpr_truth(table: AtomTable, b: ast.BExpr) -> IntervalSet:
-    """Truth set of a Boolean expression from the atom table."""
-    if isinstance(b, (ast.Porv, ast.BoolSignal, ast.EventAtom)):
-        return table.get(b)
-    if isinstance(b, ast.Not):
-        return set_complement(bexpr_truth(table, b.operand), table.domain, table.eps)
-    if isinstance(b, ast.And):
-        out = bexpr_truth(table, b.terms[0])
-        for t in b.terms[1:]:
-            out = set_intersect(out, bexpr_truth(table, t), table.eps)
-        return out
-    if isinstance(b, ast.Or):
-        return set_union(bexpr_truth(table, b.left), bexpr_truth(table, b.right), table.eps)
-    raise AmscheckError(f"no truth semantics for {type(b).__name__}")

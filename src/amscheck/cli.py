@@ -22,18 +22,18 @@ from .atoms import build_table
 from .codegen import CodegenConfig, generate_monitors
 from .engine import assertion_match
 from .errors import AmscheckError, ProtocolError
-from .intervals import TIME_TOL, Interval, IntervalSet, key_text
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, key_text
 from .online import Session
 from .oracle import oracle_classify
 from .parser import VALUE_TOL, parse_file
-from .trace import load_csv, save_csv
+from .trace import load_csv, open_utf8, save_csv
 from .wavegen import fixture_spec, generate, load_spec
 
 REPORT_VERSION = 1
 
 
-def _interval_row(iv: Interval) -> list:
-    return [iv.lo, iv.hi, iv.lo_closed, iv.hi_closed]
+def _key_row(k: Key) -> list:
+    return [k[0], k[2], not k[1], k[3]]
 
 
 # The check report as json.dumps(doc, indent=2, sort_keys=True) writes it.  That
@@ -84,9 +84,8 @@ def write_report(f, trace_path: str, domain: Interval, time_tol: float, reports)
 
 
 def _load_assertions(path: str, value_tol: float):
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    props = parse_file(text, value_tol=value_tol)
+    with open_utf8(path) as f:
+        props = parse_file(f.read(), value_tol=value_tol)
     if not props:
         raise AmscheckError(f"{path}: no assertions found")
     return props
@@ -141,23 +140,13 @@ def cmd_stream(args) -> int:
     sess = Session(props, kinds, eps=args.time_tol)
     out = sys.stdout
     names = list(kinds)
-    # verdict intervals per assertion and kind, normalized once at the end
-    totals: dict[str, dict[str, list[Interval]]] = {}
+    # verdict components per assertion and kind, merged as they arrive, in time order per assertion
+    totals: dict[str, dict[str, list[Key]]] = {}
 
     def emit(v):
-        totals.setdefault(v.name, {}).setdefault(v.kind, []).append(v.interval)
-        out.write(
-            json.dumps(
-                {
-                    "assertion": v.name,
-                    "kind": v.kind,
-                    "interval": _interval_row(v.interval),
-                    "decided_at": v.decided_at,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        extend_in_order(totals.setdefault(v.name, {}).setdefault(v.kind, []), [v.interval.key], args.time_tol)
+        row = {"assertion": v.name, "kind": v.kind, "interval": _key_row(v.interval.key), "decided_at": v.decided_at}
+        out.write(json.dumps(row, sort_keys=True) + "\n")
         out.flush()
 
     for lineno, line in enumerate(sys.stdin, 1):
@@ -183,19 +172,9 @@ def cmd_stream(args) -> int:
             emit(v)
     for v in sess.finalize():
         emit(v)
-    merged = {
-        name: {kind: IntervalSet(ivs, args.time_tol) for kind, ivs in per.items()}
-        for name, per in totals.items()
-    }
-    summary = {
-        "summary": {
-            name: {kind: [_interval_row(iv) for iv in s] for kind, s in sorted(per.items())}
-            for name, per in sorted(merged.items())
-        }
-    }
-    out.write(json.dumps(summary, sort_keys=True) + "\n")
-    failed = any("fail" in per and not per["fail"].is_empty for per in merged.values())
-    return 1 if failed else 0
+    summary = {name: {kind: [_key_row(k) for k in keys] for kind, keys in per.items()} for name, per in totals.items()}
+    out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    return 1 if any(per.get("fail") for per in totals.values()) else 0
 
 
 def cmd_oracle(args) -> int:
@@ -315,7 +294,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (AmscheckError, OSError, UnicodeDecodeError) as e:
+    except (AmscheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,9 @@ the truth callbacks hanging off the combined flag's edges.  Members
 arising from an upper bound (a negated predicate) set their bit on the
 falling cross and clear it on the rising one.
 
-Unit indices follow source order, antecedent first; a conjunction is
-one unit.  Output is deterministic and is meant for a golden-text
+Each `SeqBool` node is one unit, so a conjunction is one unit;
+`generate_monitors` numbers the units in `ast.iter_nodes` order, which
+is source order, antecedent first.  Output is deterministic and is meant for a golden-text
 test surface, not for compilation here.
 """
 
@@ -54,18 +55,6 @@ def _cross(e, direction: str, cfg: CodegenConfig) -> str:
     return f"cross({e},{direction},{_fmt_acc(cfg.time_acc)},{_fmt_acc(cfg.value_acc)})"
 
 
-@dataclass(frozen=True)
-class _Unit:
-    index: int
-    node: ast.BExpr
-
-
-def collect_units(p: ast.Property) -> list[_Unit]:
-    """Monitor units in source order: events singly, conjuncts grouped."""
-    seqs = (n for n in ast.iter_nodes(p) if isinstance(n, ast.SeqBool))
-    return [_Unit(i, s.bexpr) for i, s in enumerate(seqs)]
-
-
 def _edge_blocks(b: ast.BExpr, rise: str, fall: str, cfg: CodegenConfig, what: str = "") -> list[str]:
     """Blocks running ``rise`` when a predicate or digital signal turns true and
     ``fall`` when it turns false; a negation swaps the two statements."""
@@ -81,23 +70,18 @@ def _edge_blocks(b: ast.BExpr, rise: str, fall: str, cfg: CodegenConfig, what: s
     return [f"always @({on})\n    {rise}", f"always @({off})\n    {fall}"]
 
 
-def _unit_blocks(u: _Unit, cfg: CodegenConfig) -> tuple[list[str], list[str], list[str]]:
-    """Returns (assign lines, always blocks, flag declarations)."""
-    aid, k = cfg.assertion_id, u.index
-    b = u.node
-
+def _unit_blocks(k: int, b: ast.BExpr, cfg: CodegenConfig) -> tuple[list[str], ...]:
+    """Unit ``k``'s assign lines, always blocks, wires and regs."""
+    aid = cfg.assertion_id
     if isinstance(b, ast.EventAtom):
         if isinstance(b.pred, ast.BoolSignal):
             trig = {"pos": f"posedge {b.pred.name}", "neg": f"negedge {b.pred.name}", "any": b.pred.name}[b.edge]
         else:
             trig = _cross(b.pred.expr, {"pos": "+1", "neg": "-1", "any": "0"}[b.edge], cfg)
-        return [], [f"always @({trig})\n    $checkerCall({aid},{k},$abstime);"], []
-
-    up = f"$updateTruthInterval({aid},{k},+1,$abstime);"
-    down = f"$updateTruthInterval({aid},{k},-1,$abstime);"
+        return [], [f"always @({trig})\n    $checkerCall({aid},{k},$abstime);"], [], []
+    up, down = (f"$updateTruthInterval({aid},{k},{d},$abstime);" for d in ("+1", "-1"))
     if not isinstance(b, ast.And):
-        return [], _edge_blocks(b, up, down, cfg), []
-
+        return [], _edge_blocks(b, up, down, cfg), [], []
     flag = f"flag_{k}"
     bits = [f"{flag}_{j}" for j in range(len(b.terms))]
     blocks: list[str] = []
@@ -105,27 +89,22 @@ def _unit_blocks(u: _Unit, cfg: CodegenConfig) -> tuple[list[str], list[str], li
         blocks += _edge_blocks(m, f"{bit} = 1'b1;", f"{bit} = 1'b0;", cfg, "conjunct member ")
     blocks.append(f"always @(posedge {flag})\n    {up}")
     blocks.append(f"always @(negedge {flag})\n    {down}")
-    return [f"assign {flag} = {' && '.join(bits)};"], blocks, [flag, *bits]
+    return [f"assign {flag} = {' && '.join(bits)};"], blocks, [flag], bits
 
 
 def generate_monitors(p: ast.Property, cfg: CodegenConfig | None = None) -> str:
     """Monitor text for one property."""
     cfg = cfg or CodegenConfig()
     ast.validate(p)
-    assigns: list[str] = []
-    blocks: list[str] = []
-    flags: list[str] = []
-    for u in collect_units(p):
-        a, bl, fl = _unit_blocks(u, cfg)
-        assigns.extend(a)
-        blocks.extend(bl)
-        flags.extend(fl)
+    assigns, blocks, wires, regs = parts = [], [], [], []
+    seqs = (n for n in ast.iter_nodes(p) if isinstance(n, ast.SeqBool))
+    for k, s in enumerate(seqs):
+        for part, got in zip(parts, _unit_blocks(k, s.bexpr, cfg)):
+            part.extend(got)
     body = assigns + blocks
     if not cfg.wrap_module:
         return "\n".join(body) + "\n"
     lines = [f"module {cfg.module_name};"]
-    wires = [f for f in flags if "_" not in f.rsplit("flag_", 1)[-1]]
-    regs = [f for f in flags if f not in wires]
     if wires:
         lines.append("wire " + ", ".join(wires) + ";")
     if regs:

@@ -1,10 +1,12 @@
 """Match computation and verdict partition for sequence properties over dense time.
 
-Works entirely on interval sets: each combinator rule is applied per
-convex component and the results are unioned, which is exact for
-intersection, union and the window shifts, and is applied per
-component for recurrence (a continuous stretch cannot span a gap in
-the operand's truth set).
+`_Evaluator` combines the truth sets of an `atoms.AtomTable`: the
+Boolean layer (complement within the domain, intersection, union), the
+sequence operators and, in `classify`, the verdicts.  It works entirely
+on interval sets: each combinator rule is applied per convex component
+and the results are unioned, which is exact for intersection, union and
+the window shifts, and is applied per component for recurrence (a
+continuous stretch cannot span a gap in the operand's truth set).
 
 End matches look backward: whether a sequence ends its match at t
 depends only on the trace up to t.  Begin matches are computed with an
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
-from .atoms import AtomTable, bexpr_truth
+from .atoms import AtomTable
 from .intervals import (
     Interval,
     IntervalSet,
@@ -51,8 +53,22 @@ class _Evaluator:
     def bexpr(self, b: ast.BExpr) -> IntervalSet:
         got = self._bexpr_memo.get(b)
         if got is None:
-            got = self._bexpr_memo[b] = bexpr_truth(self.tab, b)
+            got = self._bexpr_memo[b] = self._bexpr(b)
         return got
+
+    def _bexpr(self, b: ast.BExpr) -> IntervalSet:
+        if isinstance(b, (ast.Porv, ast.BoolSignal, ast.EventAtom)):
+            return self.tab.get(b)
+        if isinstance(b, ast.Not):
+            return set_complement(self.bexpr(b.operand), self.domain, self.eps)
+        if isinstance(b, ast.And):
+            out = self.bexpr(b.terms[0])
+            for t in b.terms[1:]:
+                out = set_intersect(out, self.bexpr(t), self.eps)
+            return out
+        if isinstance(b, ast.Or):
+            return set_union(self.bexpr(b.left), self.bexpr(b.right), self.eps)
+        raise TypeError(f"no truth semantics for {type(b).__name__}")
 
     def end(self, s: ast.SeqExpr) -> IntervalSet:
         got = self._em_memo.get(s)
@@ -82,15 +98,12 @@ class _Evaluator:
         ends = set_intersect(restrict, self.end(s), self.eps)
         if isinstance(s, ast.Repeat):
             pulled = minkowski_diff_set(ends, s.dur, s.dur, self.eps)
-            return self.begin(s.seq, self._clip(pulled))
+            return self.begin(s.seq, pulled)
         if isinstance(s, (ast.Delay, ast.RepeatUntil)):
             first = s.left if isinstance(s, ast.Delay) else s.seq
             pulled = minkowski_diff_set(ends, s.lo, s.hi, self.eps)
-            return self.begin(first, set_intersect(self._clip(pulled), self.end(first), self.eps))
+            return self.begin(first, set_intersect(pulled, self.end(first), self.eps))
         raise TypeError(f"not a sequence expression: {type(s).__name__}")
-
-    def _clip(self, s: IntervalSet) -> IntervalSet:
-        return set_intersect(s, self.dom_set, self.eps)
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,7 @@ def classify(ev: _Evaluator, p: ast.Property, name: str, within: Interval) -> Ma
     bm = ev.begin(p.consequent, ev.dom_set)
     if p.delay is not None:
         lo, hi = p.delay
-        bm = ev._clip(minkowski_diff_set(bm, lo, hi, eps))
+        bm = minkowski_diff_set(bm, lo, hi, eps)
     matched = set_intersect(em, bm, eps)
     fail = set_complement(set_union(matched, vac, eps), within, eps)
     tail = Interval(domain.hi - hor, domain.hi, False, True).intersect(within)

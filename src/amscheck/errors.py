@@ -46,6 +46,10 @@ class TraceError(AmscheckError):
     """Malformed trace data (bad CSV, non-monotone time, arity mismatch)."""
 
 
+class EncodingError(AmscheckError):
+    """An input file is not valid UTF-8."""
+
+
 class ProtocolError(AmscheckError):
     """Malformed input on the streaming sample protocol."""
 

@@ -30,6 +30,7 @@ and whether two sets compare equal in `approx_eq`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -147,6 +148,21 @@ def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
             hi, hi_closed = k[2], k[3]
     out.append((lo, lo_open, hi, hi_closed))
     return tuple(out)
+
+
+def extend_in_order(held: list[Key], keys: Iterable[Key], eps: float = TIME_TOL) -> None:
+    """Add ``keys`` to the normalized components ``held``, in place.
+
+    Keys that start no earlier than any held component, as time-ordered
+    pieces do, can merge only with the last one, so only it is redone,
+    and ``held`` ends as the normalization of every piece at once.  An
+    earlier key redoes the components from the one before it; the union
+    is then the same, but a merge within eps can come out differently.
+    """
+    keys = list(keys)
+    if keys:
+        i = max(bisect.bisect_left(held, min(keys)) - 1, 0)
+        held[i:] = _normalize([*held[i:], *keys], eps)
 
 
 class IntervalSet:

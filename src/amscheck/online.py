@@ -42,7 +42,7 @@ from . import ast
 from .atoms import AtomTable, trackers
 from .engine import _Evaluator, classify
 from .errors import ProtocolError
-from .intervals import TIME_TOL, Interval, IntervalSet, Key, set_intersect
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, set_intersect
 from .trace import KINDS
 
 
@@ -212,9 +212,7 @@ class Session:
         if window.is_empty:
             return []
         rep = classify(ev, st.prop, st.name, window)
-        if rep.vacuous:
-            # pieces arrive in time order: only the last held one can merge
-            st.vacuous[-1:] = IntervalSet.from_keys([*st.vacuous[-1:], *rep.vacuous.keys], self.eps).keys
+        extend_in_order(st.vacuous, rep.vacuous.keys, self.eps)
         kinds = (("match", rep.nonvacuous), ("fail", rep.fail), ("undetermined", rep.undetermined))
         return sorted((k, kind) for kind, pieces in kinds for k in pieces.keys)
 

@@ -2,11 +2,12 @@
 
 Evaluates the satisfaction relations directly: quantifiers over time
 windows become counts over grid indices, begin matches are found by
-exhaustive search.  Every window that is not a plain hold is counted by
-one prefix-sum rule, `_any_fwd`; a backward window is the forward one
-over the reversed grid.  The verdicts share no code with the interval
-engine beyond the trace and the syntax tree, so agreement between the
-two is evidence, not tautology.  Only the resolution check
+exhaustive search, uncached, as no (node, restriction) pair repeats
+within one evaluation.  Every window that is not a plain hold is
+counted by one prefix-sum rule, `_any_fwd`; a backward window is the
+forward one over the reversed grid.  The verdicts share no code with
+the interval engine beyond the trace and the syntax tree, so agreement
+between the two is evidence, not tautology.  Only the resolution check
 (`check_resolution`) reads the engine's atom truth sets, from
 `atoms.build_table`, to measure exact feature widths.
 
@@ -84,7 +85,6 @@ class _GridEval:
         self._sig: dict[str, np.ndarray] = {}
         self._bex: dict[ast.BExpr, np.ndarray] = {}
         self._em: dict[ast.SeqExpr, np.ndarray] = {}
-        self._bm: dict[tuple[ast.SeqExpr, bytes], np.ndarray] = {}
 
     # -- signal sampling ------------------------------------------------
 
@@ -129,10 +129,7 @@ class _GridEval:
         """out[j] = arr[j + round(a/dt)] (exact pull of end instants to begins)."""
         s = round(a / self.dt)
         out = np.zeros(self.n, dtype=bool)
-        if s < self.n:
-            if s == 0:
-                return arr.copy()
-            out[:-s] = arr[s:]
+        out[: max(self.n - s, 0)] = arr[s:]
         return out
 
     # -- boolean layer --------------------------------------------------
@@ -200,13 +197,6 @@ class _GridEval:
         raise TypeError(f"no grid semantics for {type(s).__name__}")
 
     def begin(self, s: ast.SeqExpr, restrict: np.ndarray) -> np.ndarray:
-        key = (s, restrict.tobytes())
-        got = self._bm.get(key)
-        if got is None:
-            got = self._bm[key] = self._begin(s, restrict)
-        return got
-
-    def _begin(self, s: ast.SeqExpr, restrict: np.ndarray) -> np.ndarray:
         if isinstance(s, ast.SeqBool):
             return self.bexpr(s.bexpr) & restrict
         ends = restrict & self.end(s)

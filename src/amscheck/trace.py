@@ -22,18 +22,20 @@ header column; ``#`` starts a comment and blank lines are skipped, by a
 filter that feeds the call batches of lines.  Quoted cells, ``1_0``
 digit separators and non-ASCII digits are rejected.  A malformed row
 raises ``TraceError`` naming its line.  The file is read as UTF-8,
-whatever the locale.
+whatever the locale, by `open_utf8`: a byte that is not UTF-8 raises
+``EncodingError`` naming its line and column.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn, TextIO
 
 import numpy as np
 
-from .errors import TraceError, UnknownSignalError
+from .errors import EncodingError, TraceError, UnknownSignalError
 from .intervals import Interval
 
 KINDS = ("analog", "boolean")
@@ -119,6 +121,25 @@ class Trace:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises `EncodingError`
+    naming its line and column, from a binary read that splits lines as text mode does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate((part for chunk in fh for part in chunk.splitlines()), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    col = len(line[: e.start].decode("utf-8")) + 1  # in characters
+                    msg = f"{path}:{lineno}: not UTF-8 (byte 0x{line[e.start]:02x} at column {col})"
+                    raise EncodingError(msg) from None
+        raise
+
+
 def _read_rows(lines: Iterable[str], width: int) -> np.ndarray | None:
     """``lines`` as an (n, width) float64 array, or None if np.loadtxt rejects them."""
     try:
@@ -146,16 +167,11 @@ def _data_lines(path, batches: Iterable[list[str]], first: int) -> Iterator[list
         yield kept
 
 
-def _checked_rows(path, lines: Iterable[str], first: int, width: int) -> np.ndarray:
-    """Parse data lines numbered from ``first`` after dropping blank and
-    comment lines; raise TraceError naming the first line that cannot be read."""
-    kept, linenos = [], []
-    for lineno, line in enumerate(lines, start=first):
-        if (body := _data_body(path, lineno, line)).strip():
-            kept.append(body)
-            linenos.append(lineno)
-    if (rows := _read_rows(kept, width)) is not None:
-        return rows
+def _bad_row(path, lines: Iterable[str], first: int, width: int) -> NoReturn:
+    """Raise TraceError naming the first of the data lines, numbered from
+    ``first``, that cannot be read; np.loadtxt rejects them as a whole."""
+    numbered = [(n, body) for n, line in enumerate(lines, start=first) if (body := _data_body(path, n, line)).strip()]
+    linenos, kept = zip(*numbered)
     lo, hi = 0, len(kept)  # kept[lo:hi] holds the first bad line
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -171,7 +187,7 @@ def load_csv(path) -> Trace:
     header: list[str] | None = None
     kinds: dict[str, str] = {}
     first_data: int | None = None  # line number of the first data row
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
             if row == [""] or (header is None and row[0].startswith("#")):
@@ -199,8 +215,8 @@ def load_csv(path) -> Trace:
         data = np.empty((0, len(header)))
     elif data is None:
         # a malformed line among the data rows: find it
-        with open(path, encoding="utf-8") as fh:
-            data = _checked_rows(path, islice(fh, first_data - 1, None), first_data, len(header))
+        with open_utf8(path) as fh:
+            _bad_row(path, islice(fh, first_data - 1, None), first_data, len(header))
     return Trace(data[:, 0], {name: data[:, j] for j, name in enumerate(header[1:], 1)}, kinds)
 
 

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import TraceError
-from .trace import KINDS, Trace
+from .trace import KINDS, Trace, open_utf8
 
 _FIXTURES = {
     "settling": "settling.json",
@@ -123,7 +123,7 @@ def generate(spec: dict) -> Trace:
 
 
 def load_spec(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:

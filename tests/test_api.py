@@ -66,3 +66,25 @@ def test_benchmark_setup_probe_builds_the_stream_session(tmp_path):
     assert run.returncode == 0, run.stderr
     (line,) = run.stdout.splitlines()
     assert float(line) > 0
+
+
+def test_equivalence_fingerprint_smoke():
+    """`tests/_fingerprint.py --tiny` prints one SHA-256 digest per output family,
+    the same in a fresh interpreter as in this one."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import _fingerprint
+
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
+    run = subprocess.run([sys.executable, str(here / "_fingerprint.py"), "--tiny"], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    digests = json.loads(run.stdout)
+    assert sorted(digests) == ["check", "codegen", "match", "oracle", "session", "stream"]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    assert _fingerprint.fingerprint(_fingerprint.TINY) == digests

@@ -18,8 +18,9 @@ from amscheck import (
     parse_property,
 )
 from amscheck import ast as A
-from amscheck.atoms import BoolTracker, PorvTracker, bexpr_truth
-from amscheck.expr import BinOp, Const, SignalRef
+from amscheck.atoms import BoolTracker, PorvTracker
+from amscheck.engine import _Evaluator
+from amscheck.expr import BinOp, Const, SignalRef, is_affine
 from amscheck.wavegen import fixture_trace
 
 MS = 1e-3
@@ -97,7 +98,7 @@ class TestPorv:
         band = parse_property(
             "{V(Vout)>=1.14 && V(Vout)<=1.26} |-> {x};"
         ).antecedent.bexpr
-        got = bexpr_truth(_table_for(tr, band), band)
+        got = _Evaluator(_table_for(tr, band)).bexpr(band)
         want = S(
             (1.6 * MS, 2.03 * MS),
             (2.41 * MS, 2.66 * MS),
@@ -171,25 +172,25 @@ class TestBexpr:
     def test_contradiction_is_empty(self):
         tr = line_trace()
         b = parse_property("{V(v)>5 && V(v)<=5} |-> {x};").antecedent.bexpr
-        assert bexpr_truth(_table_for(tr, b), b).is_empty
+        assert _Evaluator(_table_for(tr, b)).bexpr(b).is_empty
 
     def test_disjunction(self):
         tr = line_trace()
         b = parse_property("{V(v)>8 OR V(v)<=2} |-> {x};").antecedent.bexpr
-        got = bexpr_truth(_table_for(tr, b), b)
+        got = _Evaluator(_table_for(tr, b)).bexpr(b)
         assert got.approx_eq(S((0, 2, True, True), (8, 10, False, True)))
 
     def test_event_conjoined_with_condition(self):
         # event fires at 5; the extra conjunct is true there
         tr = line_trace()
         b = parse_property("{@+{V(v)>5} && V(v)>=1} |-> {x};").antecedent.bexpr
-        got = bexpr_truth(_table_for(tr, b), b)
+        got = _Evaluator(_table_for(tr, b)).bexpr(b)
         assert got.approx_eq(S((5.0, 5.0)))
 
     def test_event_gated_out_by_condition(self):
         tr = line_trace()
         b = parse_property("{@+{V(v)>5} && V(v)>=6} |-> {x};").antecedent.bexpr
-        assert bexpr_truth(_table_for(tr, b), b).is_empty
+        assert _Evaluator(_table_for(tr, b)).bexpr(b).is_empty
 
 
 class TestTable:
@@ -354,3 +355,32 @@ def test_endpoints_are_python_floats():
                 assert type(iv.lo) is float and type(iv.hi) is float, (props, iv)
                 seen += 1
     assert seen > 500
+
+
+class TestArithmeticMetamorphic:
+    """Two ways to write one comparison give one truth set: exactly when the
+    two differences are equal floats, to rounding when they are not, and to
+    the bisection tolerance when one side divides by a signal."""
+
+    PAIRS = [
+        ("V(a)/2{op}0.1", "V(a){op}0.2", 0.0),  # halving is exact, so every crossing is the same float
+        ("V(a)+V(b){op}1", "V(a)-(1-V(b)){op}0", 1e-12),
+        ("V(a)/V(b){op}1", "V(a)-V(b){op}0", 1e-9),  # V(b) > 0; the quotient is not affine and bisects
+    ]
+
+    @pytest.mark.parametrize("op", [">", ">="])
+    @pytest.mark.parametrize("left, right, tol", PAIRS)
+    def test_same_truth(self, left, right, tol, op):
+        rng = random.Random(606)
+        p, q = porv_of(left.format(op=op)), porv_of(right.format(op=op))
+        assert is_affine(p.expr) == ("/V(b)" not in left)
+        components = 0
+        for _ in range(100):
+            n = rng.randint(2, 30)
+            times = [0.01 * k for k in sorted(rng.sample(range(1000), n))]
+            a = [rng.choice([0.2, 1.0, rng.uniform(-1.0, 2.0)]) for _ in times]
+            tr = Trace(times, {"a": a, "b": [rng.uniform(0.5, 2.0) for _ in times]})
+            got, want = truth(tr, p), truth(tr, q)
+            assert got.keys == want.keys if tol == 0 else got.approx_eq(want, tol), (left, times, a)
+            components += len(want)
+        assert components > 200

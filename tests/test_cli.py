@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -287,6 +288,52 @@ class TestStream:
         rows = [json.loads(line) for line in out.splitlines() if line.strip()]
         assert any(r.get("kind") == "fail" for r in rows)
 
+    def test_blank_and_comment_lines_skipped(self, settle_files, monkeypatch, capsys):
+        _, props = settle_files
+        tr = fixture_trace("settling")
+        lines = [f"{t!r} {vals['Vout']!r}" for t, vals in map(tr.sample, range(len(tr)))]
+        runs = []
+        for text in ("\n".join(lines), "# header\n\n" + "\n  \n# note\n".join(lines) + "\n#"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+            runs.append((main(["stream", str(props), "--signals", "Vout"]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].err == ""
+
+    @pytest.mark.parametrize("bad, msg", [
+        ("0.002 1.0 2.0", "stdin:4: expected time + 1 values"),
+        ("0.002", "stdin:4: expected time + 1 values"),
+        ("0.002 one", "stdin:4: bad number"),
+        ("t 1.0", "stdin:4: bad number"),
+    ])
+    def test_malformed_line_exit_two(self, settle_files, monkeypatch, capsys, bad, msg):
+        _, props = settle_files
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"0.0 0.0\n\n0.001 0.5\n{bad}\n0.003 1.2\n"))
+        assert main(["stream", str(props), "--signals", "Vout"]) == 2
+        assert capsys.readouterr().err == msg + "\n"
+
+    @pytest.mark.parametrize("names", [("p", "q"), ("p", "p")])
+    def test_summary_is_the_union_of_the_verdicts(self, tmp_path, monkeypatch, capsys, names):
+        props = tmp_path / "props.txt"
+        props.write_text(f"{names[0]}: {{V(x)>0}} |-> ##[0.3:0.5] {{V(x)<0}};\n{names[1]}: {{V(x)<0.5}} |-> {{V(x)>-0.5}};\n")
+        times = [k * 0.05 for k in range(200)]
+        lines = [f"{t!r} {math.sin(7 * t) + 0.3 * math.sin(31 * t)!r}" for t in times]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["stream", str(props), "--signals", "x"]) == 1
+        *verdicts, last = map(json.loads, capsys.readouterr().out.splitlines())
+        assert set(last["summary"]) == set(names)
+        for name, per in last["summary"].items():
+            assert set(per) == {v["kind"] for v in verdicts if v["assertion"] == name}
+            for kind, rows in per.items():
+                pieces = [Interval(*v["interval"]) for v in verdicts if (v["assertion"], v["kind"]) == (name, kind)]
+                got = IntervalSet([Interval(*r) for r in rows])
+                assert rows == [[k[0], k[2], not k[1], k[3]] for k in got.keys], (name, kind)  # normalized
+                if names[0] != names[1]:
+                    # one assertion's verdicts of one kind arrive in time order: merged exactly as all at once
+                    assert got == IntervalSet(pieces), (name, kind)
+                else:
+                    # two assertions' verdicts interleave under one name: the summary still holds every one
+                    assert all(got.contains(t) for iv in pieces for t in (iv.lo, iv.hi) if iv.contains(t))
+
     def test_protocol_error_exit_two(self, settle_files, monkeypatch, capsys):
         _, props = settle_files
         monkeypatch.setattr("sys.stdin", io.StringIO("0.0 1.0\n0.0 2.0\n"))
@@ -312,6 +359,17 @@ class TestStream:
         assert main(["stream", str(props), "--signals", signals]) == 2
         captured = capsys.readouterr()
         assert "duplicate signal names" in captured.err and captured.out == ""
+
+
+def test_value_tol_widens_analog_equality(tmp_path, capsys):
+    trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+    trace.write_text("time,x\n0,1.0005\n1,1.0005\n2,0.9999995\n3,0.9999995\n")
+    props.write_text("p: {V(x)==1} |-> {V(x)>2};\n")
+    # |x - 1| is 5e-4, then 5e-7: the default 1e-6 band holds from where x falls to 1 + 1e-6
+    assert main(["check", str(trace), str(props)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["   fail at [1.997:3]"]
+    assert main(["check", str(trace), str(props), "--value-tol", "1e-3"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["   fail at [0:3]"]
 
 
 class TestOracle:
@@ -404,7 +462,27 @@ class TestNoTraceback:
             {"type": "pwl", "points": [[0, 0], [1, 1]]}]}}}),
         "trace-header-not-utf8": ("trace", b"time,x\xff\n0,1\n1,2\n"),
         "trace-row-not-utf8": ("trace", b"time,x\n0,1\n1,2\n2,\xff3\n"),
+        "trace-last-line-not-utf8": ("trace", b"time,x\n0,1\n1,2\n2,3\xff"),
+        # text mode reads a lone carriage return as a line end, and the line count follows it
+        "trace-cr-lines-not-utf8": ("trace", b"time,x\r0,1\r\n1,2\r2,\xff3\r"),
+        # far past numpy's and the text reader's buffers: the line still counts from the file start
+        "trace-deep-row-not-utf8": ("trace", b"time,x\n" + b"".join(b"%d,1\n" % i for i in range(10000))
+                                    + b"10000,\xff1\n"),
         "assertions-not-utf8": ("assertions", b"p: {V(x)>0} |-> {V(x)>0}; # \xff\n"),
+        # the column counts characters: the two-byte é before the bad byte is one column
+        "assertions-last-line-not-utf8": ("assertions", b"p: {V(x)>0} |-> {V(x)>0};\n# caf\xc3\xa9 \xff"),
+        "spec-header-not-utf8": ("genwave", b'\xfe{"signals": {}}\n'),
+    }
+    # (line, column) of the first byte that is not UTF-8, and that byte
+    NOT_UTF8 = {
+        "trace-header-not-utf8": (1, 7, 0xFF),
+        "trace-row-not-utf8": (4, 3, 0xFF),
+        "trace-last-line-not-utf8": (4, 4, 0xFF),
+        "trace-cr-lines-not-utf8": (4, 3, 0xFF),
+        "trace-deep-row-not-utf8": (10002, 7, 0xFF),
+        "assertions-not-utf8": (1, 29, 0xFF),
+        "assertions-last-line-not-utf8": (2, 8, 0xFF),
+        "spec-header-not-utf8": (1, 1, 0xFE),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -414,11 +492,12 @@ class TestNoTraceback:
         trace.write_bytes(b"time,x\n0,1\n1,2\n")
         props.write_bytes(b"p: {V(x)>0} |-> {V(x)>0};\n")
         if what == "genwave":
-            spec = tmp_path / "spec.json"
-            spec.write_text(json.dumps(content))
-            argv = ["genwave", str(spec), "--out", str(tmp_path / "w.csv")]
+            bad = tmp_path / "spec.json"
+            bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+            argv = ["genwave", str(bad), "--out", str(tmp_path / "w.csv")]
         else:
-            (trace if what == "trace" else props).write_bytes(content)
+            bad = trace if what == "trace" else props
+            bad.write_bytes(content)
             argv = ["check", str(trace), str(props)]
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -427,3 +506,6 @@ class TestNoTraceback:
         assert run.returncode == 2, run.stderr
         assert "Traceback" not in run.stderr
         assert [line for line in run.stderr.splitlines() if line.startswith("error: ")], run.stderr
+        if case in self.NOT_UTF8:
+            line, col, byte = self.NOT_UTF8[case]
+            assert run.stderr == f"error: {bad}:{line}: not UTF-8 (byte 0x{byte:02x} at column {col})\n"

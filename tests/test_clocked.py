@@ -8,7 +8,7 @@ import pytest
 from _corpus import _bexpr, random_trace
 from amscheck import AmscheckError, Trace, TraceError, parse_property
 from amscheck import ast as A
-from amscheck.clocked import sample_on_clock
+from amscheck.clocked import clocked_delay_check, sample_on_clock
 from amscheck.expr import eval_expr
 
 
@@ -84,3 +84,34 @@ def test_signal_of_the_wrong_kind_rejected(b):
     tr = Trace([0.0, 1.0], {"v": [0.0, 1.0], "d": [0.0, 1.0]}, kinds={"d": "boolean"})
     with pytest.raises(TraceError):
         sample_on_clock(tr, b, 0.25)
+
+
+class TestClockedDelayCheck:
+    """rose(V(a) > 0.5) |-> ##[1:2] rose(V(b) > 0.5) on ticks every 0.1 s."""
+
+    TRIG = parse_property("{V(a) > 0.5} |-> {x};").antecedent.bexpr
+    RESP = parse_property("{V(b) > 0.5} |-> {x};").antecedent.bexpr
+
+    def check(self, a, b):
+        times = [0.0, 0.15, 0.25, 0.35, 0.45, 1.0]
+        return clocked_delay_check(Trace(times, {"a": a, "b": b}), self.TRIG, self.RESP, 0.1, 1, 2)
+
+    def test_pass_when_the_response_rises_in_the_window(self):
+        # a is exactly 0.5 at tick 2, so its rise is seen at tick 3; b's at tick 4
+        assert self.check([0, 0, 1, 1, 1, 1], [0, 0, 0, 0.5, 1, 1]) == "pass"
+
+    def test_fail_when_the_response_rises_too_late(self):
+        # b passes 0.5 at t=0.725, seen at tick 8
+        assert self.check([0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 1]) == "fail"
+
+    def test_fail_when_the_response_never_rises(self):
+        assert self.check([0, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]) == "fail"
+
+    def test_vacuous_when_the_trigger_never_rises(self):
+        assert self.check([1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 1]) == "vacuous"
+        assert self.check([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]) == "vacuous"
+
+    def test_bad_cycle_window(self):
+        tr = Trace([0.0, 1.0], {"a": [0.0, 1.0], "b": [0.0, 1.0]})
+        with pytest.raises(AmscheckError, match="cycle window"):
+            clocked_delay_check(tr, self.TRIG, self.RESP, 0.1, 2, 1)

@@ -15,7 +15,7 @@ from amscheck import (
     set_intersect,
     set_union,
 )
-from amscheck.intervals import _shift
+from amscheck.intervals import _contains, _shift, extend_in_order
 
 MS = 1e-3
 
@@ -277,3 +277,40 @@ def run_law_suite(n_triples: int, seed: int = 20240917) -> int:
 def test_algebraic_laws_randomized():
     cases = run_law_suite(300)
     assert cases >= 3000
+
+
+def test_extend_in_order_equals_normalizing_all_pieces_at_once():
+    """Time-ordered pieces added in chunks give the normalization of all of
+    them: sub-eps slivers, closed and open points, touches within eps and
+    exact open/open touches included.  Added one at a time in any order, they
+    give a normalized set that holds every piece, with no new endpoint."""
+    rng = random.Random(8080)
+    eps = 1e-3
+    punctures = slivers = 0
+    for _ in range(500):
+        keys, lo = [], 0.0
+        for _ in range(rng.randint(0, 25)):
+            width = rng.choice([0.0, 0.0, rng.uniform(0, eps), eps, rng.uniform(0, 0.1)])
+            keys.append((lo, rng.random() < 0.5, lo + width, rng.random() < 0.5))
+            # the next piece starts inside this one, at its end exactly, within eps past it, or further on
+            lo = rng.choice([lo + rng.uniform(0, width), lo + width, lo + width + rng.uniform(0, eps),
+                             lo + width + rng.uniform(0, 0.05)])
+        keys.sort()
+        want = IntervalSet.from_keys(keys, eps).keys
+        held, rest = [], keys
+        while rest:
+            k = rng.randint(1, len(rest))
+            extend_in_order(held, rest[:k], eps)
+            rest = rest[k:]
+        assert tuple(held) == want, keys
+        held = []
+        for key in rng.sample(keys, len(keys)):
+            extend_in_order(held, [key], eps)
+        got = IntervalSet.from_keys(held, eps)
+        assert got.keys == tuple(held)
+        for k in (k for k in keys if IntervalSet.from_keys([k], eps)):  # normalization drops sub-eps slivers
+            assert all(got.contains(t) for t in (k[0], 0.5 * (k[0] + k[2]), k[2]) if _contains(k, t)), (keys, k)
+        assert {x for k in held for x in k[::2]} <= {x for k in keys for x in k[::2]}
+        punctures += sum(x[2] == y[0] for x, y in zip(want, want[1:]))
+        slivers += sum(0 < k[2] - k[0] <= eps for k in keys)
+    assert punctures > 50 and slivers > 500

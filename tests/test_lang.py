@@ -16,6 +16,12 @@ from amscheck import (
     validate,
 )
 from amscheck import ast as A
+from amscheck.expr import BinOp, Const, SignalRef
+
+
+def porv(text):
+    """The predicate of '{text} |-> {x};'."""
+    return parse_property("{%s} |-> {x};" % text).antecedent.bexpr
 
 
 class TestParseShapes:
@@ -70,6 +76,20 @@ class TestParseShapes:
         for tok, edge in (("@+", "pos"), ("@-", "neg"), ("@", "any")):
             p = parse_property("%s{d==1} |-> {x};" % tok)
             assert p.antecedent.bexpr.edge == edge
+
+    def test_parenthesized_boolean_member(self):
+        p = parse_property("{(V(x)>0 || V(y)>0) && d} |-> {y};")
+        b = p.antecedent.bexpr
+        assert isinstance(b, A.And)
+        assert b.terms == (A.Or(porv("V(x)>0"), porv("V(y)>0")), A.BoolSignal("d"))
+
+    def test_analog_equality_is_a_value_tol_band(self):
+        # V(x)==1 holds where (x - 1) + tol >= 0 and tol - (x - 1) >= 0
+        for tol in (1e-6, 1e-3):
+            b = parse_property("{V(x)==1} |-> {y};", value_tol=tol).antecedent.bexpr
+            assert isinstance(b, A.And) and len(b.terms) == 2
+            f = BinOp("-", SignalRef("x"), Const(1.0))
+            assert b.terms == (A.Porv(BinOp("+", f, Const(tol)), ">="), A.Porv(BinOp("-", Const(tol), f), ">="))
 
     def test_comparison_desugar(self):
         # "f < 0" and "f <= 0" become negations of the dual porv
@@ -136,6 +156,18 @@ def test_pretty_round_trip(text):
     once = pretty(parse_property(text))
     again = pretty(parse_property(once))
     assert once == again
+
+
+def test_pretty_negated_disjunction_in_conjunction():
+    p = parse_property("{x && ~{V(a)>0 || V(b)>0}} |-> {y};")
+    assert pretty(p) == "{x && ~{V(a) > 0 OR V(b) > 0}} |-> {y};"
+    assert parse_property(pretty(p)) == p
+
+
+def test_str_of_event_atom():
+    assert str(A.EventAtom(porv("V(x)>0.5"), "pos")) == "@+{V(x)-0.5 > 0}"
+    assert str(A.EventAtom(A.BoolSignal("en"), "neg")) == "@-{en}"
+    assert str(A.EventAtom(porv("V(x)>=0"), "any")) == "@{V(x) >= 0}"
 
 
 class TestErrors:
@@ -206,6 +238,29 @@ class TestErrors:
             parse_property("{V(x) > 0} |-> " + text)
         assert str(exc.value) == msg.replace(f"col {col}", f"col {col + 15}")
 
+    @pytest.mark.parametrize("text, msg", [
+        ("{x} |-> {y} {x}", "line 1, col 13: expected ';', got '{'"),
+        ("{x} |-> {y}", "line 1, col 12: expected ';', got 'end of input'"),
+        ("{F(x)>0} |-> {y};", "line 1, col 2: unknown function 'F'"),
+        ("{d == 2} |-> {y};", "line 1, col 2: digital signal 'd' only supports == 0 or == 1"),
+        ("@+{V(x) < 1} |-> {y};", "line 1, col 1: event predicate must be a single comparison or signal"),
+        ("{x} |-> @-{d == 0};", "line 1, col 9: event predicate must be a single comparison or signal"),
+        ("{x} |->\n  @{V(x) == 1};", "line 2, col 3: event predicate must be a single comparison or signal"),
+    ])
+    def test_parse_error_message(self, text, msg):
+        with pytest.raises(ParseError) as exc:
+            parse_file(text)
+        assert str(exc.value) == msg
+
+    def test_reversed_bounds_inside_a_sequence(self):
+        with pytest.raises(BoundError) as exc:
+            parse_property("{x}\n  ##[2:1] {y} |-> {z};")
+        assert str(exc.value) == "bounds [2:1] need 0 <= a <= b (at line 2, col 5)"
+
+    def test_two_events_in_one_conjunct(self):
+        with pytest.raises(UnsupportedFeatureError, match="at most one event per conjunct"):
+            parse_property("{@+{x} && @-{V(y)>0}} |-> {z};")
+
     @pytest.mark.parametrize("text", ["{x} |->", "{x} |-> {", "{V(x)>0.5} |-> ##[0:1]", "{x} |-> @+{", "{"])
     def test_unfinished_assertion_is_a_parse_error(self, text):
         # the text ends where a relation is expected
@@ -223,6 +278,27 @@ class TestParseFile:
         text = "settle: {x} |-> {y};\n"
         props = parse_file(text)
         assert props[0].name == "settle"
+
+    @pytest.mark.parametrize("head, tail", [
+        ("property p{};", "endproperty"),
+        ("property p {}", "endproperty;"),
+        ("property p;", "endproperty;"),
+        ("property p", "endproperty"),
+    ])
+    def test_property_block(self, head, tail):
+        text = f"# a block\n{head}\n  x |-> ##[1:2] {{V(y)>0}};\n{tail}\nq: {{y}} |-> {{x}};\n{{x}} |-> {{y}};\n"
+        props = parse_file(text)
+        assert [p.name for p in props] == ["p", "q", "a1"]
+        assert pretty(props[0]) == "{x} |-> ##[1:2] {V(y) > 0};"
+
+    @pytest.mark.parametrize("text, col", [
+        ("property p {}; {x} |-> {y};", 28),
+        ("property p {}; {x} |-> {y}; q: {x} |-> {y};", 29),
+    ])
+    def test_property_block_needs_endproperty(self, text, col):
+        with pytest.raises(ParseError) as exc:
+            parse_file(text)
+        assert str(exc.value) == f"line 1, col {col}: expected 'endproperty'"
 
     def test_comments_ignored(self):
         text = "# leading comment\n{x} |-> {y}; # trailing\n"

@@ -192,6 +192,45 @@ class TestProtocol:
         s.feed(1.0, [6.0])
         assert s.finalize()  # some verdicts exist
 
+    def test_unknown_signal_kind(self):
+        p = parse_property("{V(v)>5} |-> {V(v)>1};")
+        with pytest.raises(ProtocolError, match="signal 'v' has unknown kind 'digital'"):
+            Session([p], {"v": "digital"})
+
+    def test_no_assertions(self):
+        with pytest.raises(ProtocolError, match="no assertions to check"):
+            Session([], ["v"])
+
+    @pytest.mark.parametrize("values", [[], [0.0, 1.0]])
+    def test_value_list_of_wrong_length(self, values):
+        with pytest.raises(ProtocolError, match=f"expected 1 values, got {len(values)}"):
+            self.make().feed(0.0, values)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0])
+    def test_boolean_value_not_zero_or_one(self, value):
+        s = Session([parse_property("{d} |-> {V(v)>1};")], {"v": "analog", "d": "boolean"})
+        s.feed(0.0, {"v": 0.0, "d": 1.0})
+        with pytest.raises(ProtocolError, match=f"boolean signal 'd' must be 0 or 1, got {value}"):
+            s.feed(1.0, {"v": 0.0, "d": value})
+
+    def test_finalize_twice(self):
+        s = self.make()
+        s.feed(0.0, {"v": 0.0})
+        s.finalize()
+        with pytest.raises(ProtocolError, match="session already finalized"):
+            s.finalize()
+
+    def test_finalize_without_samples(self):
+        assert self.make().finalize() == []
+
+    def test_no_pending_obligations_after_finalize(self):
+        s = Session([parse_property("{V(v)>5} |-> ##[2:3] {V(v)>1};")], ["v"])
+        s.feed(0.0, [6.0])
+        s.feed(1.0, [6.0])
+        assert len(s.pending_obligations()) == 1  # [0:1], decided only 3 s after each instant
+        s.finalize()
+        assert s.pending_obligations() == []
+
 
 class TestSignalKinds:
     """`check` and `stream` read an assertion's signals by one rule: `build_table`

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _corpus import iter_cases, random_trace
+from _corpus import iter_cases, min_bound, random_property, random_trace
 
 from amscheck import ast as A
 from amscheck import (
@@ -17,6 +18,7 @@ from amscheck import (
     Trace,
     assertion_match,
     build_table,
+    grid_resolves,
     oracle_classify,
     parse_property,
 )
@@ -35,6 +37,17 @@ def boundary_distance(t, report):
         for comp in s.items:
             dist = min(dist, abs(t - comp.lo), abs(t - comp.hi))
     return dist
+
+
+def any_edges(n):
+    """``n`` with the edge of every event in it set to any."""
+    if isinstance(n, A.EventAtom):
+        return replace(n, edge="any")
+    if isinstance(n, tuple):
+        return tuple(map(any_edges, n))
+    if is_dataclass(n) and not isinstance(n, (A.Porv, A.BoolSignal)):
+        return replace(n, **{f.name: any_edges(getattr(n, f.name)) for f in fields(n)})
+    return n
 
 
 def agree_up_to_boundaries(trace, prop, dt, tol_scale=2.0):
@@ -119,6 +132,23 @@ class TestEngineAgreement:
         for tr, p, dt in iter_cases(25, seed=11):
             ok, t, got, want = agree_up_to_boundaries(tr, p, dt)
             assert ok, f"at t={t}: oracle={got} engine={want}"
+
+    def test_any_edge_events_agree(self):
+        """Corpus cases that hold an event, with every event's edge set to any."""
+        rng = random.Random(31)
+        done = 0
+        while done < 25:
+            tr = random_trace(rng)
+            p = random_property(rng, list(tr.signals))
+            if not any(isinstance(n, A.EventAtom) for n in A.iter_nodes(p)):
+                continue
+            p = any_edges(p)
+            dt = min_bound(p) / 20.0
+            if dt > float(np.diff(tr.times()).min()) or not grid_resolves(tr, p, dt):
+                continue
+            ok, t, got, want = agree_up_to_boundaries(tr, p, dt)
+            assert ok, f"{A.pretty(p)} at t={t}: oracle={got} engine={want}"
+            done += 1
 
     def test_refinement_stable(self):
         """Halving dt must not flip verdicts away from boundaries."""

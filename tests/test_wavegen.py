@@ -1,9 +1,11 @@
 """Waveform generator tests: segment kinds, merging, fixtures."""
 
+import re
+
 import numpy as np
 import pytest
 
-from amscheck import TraceError, generate
+from amscheck import TraceError, generate, load_spec
 from amscheck.wavegen import fixture_spec, fixture_trace
 
 
@@ -99,6 +101,24 @@ class TestErrors:
             generate({"signals": {"v": {"segments": [{"type": "ramp", "t0": 0, "t1": 1, "v0": 0}]}}})
         with pytest.raises(TraceError, match=r"^signal 'x': malformed spec: 'int' object has no attribute 'get'$"):
             generate({"signals": {"x": 5}})
+
+
+    @pytest.mark.parametrize("point", [[1, 2, 3], 5, "ab"])
+    def test_pwl_point_needs_two_numbers(self, point):
+        with pytest.raises(TraceError, match=r"^pwl point must be \[t, v\]: " + re.escape(repr(point)) + "$"):
+            generate({"signals": {"v": {"segments": [{"type": "pwl", "points": [[0, 0], point]}]}}})
+
+    @pytest.mark.parametrize("bad", [{"period": 0}, {"duty": 1}, {"duty": 0}, {"t1": 0}])
+    def test_square_parameters(self, bad):
+        seg = {"type": "square", "t0": 0, "t1": 1, "period": 0.5, **bad}
+        with pytest.raises(TraceError, match=r"^square segment needs period > 0, 0 < duty < 1, t1 > t0$"):
+            generate({"signals": {"d": {"kind": "boolean", "segments": [seg]}}})
+
+    def test_spec_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"signals": {"v": }}')
+        with pytest.raises(TraceError, match=r"^bad waveform spec .*spec\.json: Expecting value: line 1 column 19"):
+            load_spec(str(path))
 
 
 class TestDeterminism:
