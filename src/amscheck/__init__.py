@@ -5,11 +5,17 @@ interval sets; sequence and delay operators are evaluated with
 interval arithmetic, so matches are located at crossing instants, not
 at sample points.  Includes a streaming checker, a brute-force grid
 oracle for differential testing, and a Verilog-AMS monitor generator.
+
+Importing the package loads no numpy.  A name of the trace, oracle,
+wavegen or codegen module (see `_LAZY`) imports that module on its first
+access, so parsing, a `Session` and the engine over an `AtomTable` never
+load numpy.
 """
+
+import importlib
 
 from .ast import Property, collect_atoms, depth, horizon, pretty, validate
 from .atoms import AtomTable, build_table
-from .codegen import CodegenConfig, generate_monitors
 from .engine import MatchReport, assertion_match
 from .errors import (
     AmscheckError,
@@ -39,12 +45,28 @@ from .intervals import (
     set_union,
 )
 from .online import Obligation, Session, Verdict
-from .oracle import grid_resolves, oracle_classify
 from .parser import parse_file, parse_property
-from .trace import Trace, load_csv, save_csv
-from .wavegen import fixture_spec, fixture_trace, generate, load_spec
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported on the name's first access
+_LAZY = {
+    **dict.fromkeys(("Trace", "load_csv", "save_csv"), "trace"),
+    **dict.fromkeys(("oracle_classify", "grid_resolves"), "oracle"),
+    **dict.fromkeys(("generate", "fixture_spec", "fixture_trace", "load_spec"), "wavegen"),
+    **dict.fromkeys(("CodegenConfig", "generate_monitors"), "codegen"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "AmscheckError",

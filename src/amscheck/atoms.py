@@ -20,10 +20,11 @@ one tracker.  A tracker applies the rule in two ways: `advance` takes
 one segment per streamed sample, and `trace_runs` takes every flip
 segment of a whole trace at once and pairs the boundaries into runs
 with `_pair_runs`, which drops empty runs as a feed does, so both
-produce identical components.  A streaming tracker may drop its
-completed runs that end before a cut instant (`drop_before`); the runs
-it keeps are still exactly the batch components.  Runs are component
-keys (see `intervals`) of Python floats.
+produce identical components.  Only `trace_runs` loads numpy, so a
+stream never does.  A streaming tracker may drop its completed runs
+that end before a cut instant (`drop_before`); the runs it keeps are
+still exactly the batch components.  Runs are component keys (see
+`intervals`) of Python floats.
 
 One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
@@ -41,15 +42,17 @@ event needs the predicate to actually go false within the trace.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import ast
 from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet
-from .trace import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .trace import Trace
 
 
 class _RunTracker:
@@ -95,6 +98,7 @@ def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: 
     closes alternately, closed as ``closed`` says for an opening and a closing
     one; empty runs are dropped.
     """
+    import numpy as np
     edges = np.concatenate((times[:1] if start_true else times[:0], bounds))
     open_end = len(edges) % 2
     if open_end:
@@ -168,6 +172,7 @@ class PorvTracker(_RunTracker):
 
     def trace_runs(self, trace: Trace) -> list[Key]:
         """The truth runs of a whole trace, as a feed of its samples builds them."""
+        import numpy as np
         times = trace.times()
         arrays = {s: trace.values(s) for s in self.signals}
         g = np.broadcast_to(np.asarray(eval_expr(self.porv.expr, arrays), dtype=float), times.shape)
@@ -212,6 +217,9 @@ class BoolTracker(_RunTracker):
         times = trace.times()
         truth = trace.values(self.name) == 1.0
         return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False))
+
+
+KINDS = ("analog", "boolean")  # the signal kinds a trace or a stream declares
 
 
 def trackers(atoms: Iterable[ast.Atom], kinds: dict[str, str], eps: float) -> dict[ast.Atom, PorvTracker | BoolTracker]:

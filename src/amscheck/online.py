@@ -39,11 +39,10 @@ import math
 from dataclasses import dataclass
 
 from . import ast
-from .atoms import AtomTable, trackers
+from .atoms import KINDS, AtomTable, trackers
 from .engine import _Evaluator, classify
 from .errors import ProtocolError
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, set_intersect
-from .trace import KINDS
 
 
 @dataclass(frozen=True, slots=True)

@@ -337,8 +337,10 @@ class _Parser:
 
     def file(self) -> list[ast.Property]:
         props: list[ast.Property] = []
+        lines: dict[str, int] = {}  # assertion name -> the line that names it
         auto = 0
         while self.peek() is not None:
+            tok = self.peek()
             block = self.at_kw("property")
             if block:
                 self.take()
@@ -354,6 +356,9 @@ class _Parser:
             else:
                 auto += 1
                 name = f"a{auto}"
+            if name in lines:
+                raise ParseError(f"assertion name {name!r} is already used on line {lines[name]}", tok.line, tok.col)
+            lines[name] = tok.line
             props.append(self.property_body(name))
             self.expect(";")
             if block:

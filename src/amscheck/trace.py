@@ -35,10 +35,9 @@ from typing import Iterable, Iterator, Mapping, NoReturn, TextIO
 
 import numpy as np
 
+from .atoms import KINDS
 from .errors import EncodingError, TraceError, UnknownSignalError
 from .intervals import Interval
-
-KINDS = ("analog", "boolean")
 
 
 def _column(values: Iterable[float]) -> np.ndarray:

@@ -15,8 +15,9 @@ from importlib import resources
 
 import numpy as np
 
+from .atoms import KINDS
 from .errors import TraceError
-from .trace import KINDS, Trace, open_utf8
+from .trace import Trace, open_utf8
 
 _FIXTURES = {
     "settling": "settling.json",

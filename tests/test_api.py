@@ -1,8 +1,26 @@
 """The package's export list and the CLI defaults that mirror library constants."""
 
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
 import amscheck
 from amscheck import intervals, parser
 from amscheck.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(code: str, *args: str) -> object:
+    """Run ``code`` in a new interpreter on this checkout's source and
+    return the JSON value it prints."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 def test_all_unique_and_resolvable():
@@ -10,6 +28,44 @@ def test_all_unique_and_resolvable():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(amscheck, n)]
     assert not missing
+    assert not hasattr(amscheck, "load_cvs") and not hasattr(amscheck, "Sesion")
+    # in a new interpreter, dir() lists every name before any is loaded, and a star import binds them all
+    code = """
+import json, amscheck
+undir = [n for n in amscheck.__all__ if n not in dir(amscheck)]
+from amscheck import *
+print(json.dumps([undir, [n for n in amscheck.__all__ if n not in globals()]]))
+"""
+    assert fresh_python(code) == [[], []]
+
+
+def test_parse_and_session_load_no_numpy():
+    """Parsing the stream workload's assertion and streaming it through a
+    `Session` load neither numpy nor the batch and reference modules; the
+    first access to `load_csv` loads the trace module."""
+    props = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["STREAM_PROPS"]
+    code = """
+import json, math, sys
+import amscheck
+names = json.loads(sys.argv[2])
+s = amscheck.Session(amscheck.parse_file(sys.argv[1]), ["x"])
+verdicts = pending = 0
+for k in range(400):
+    t = k * 1e-5
+    verdicts += len(s.feed(t, [math.sin(6283.0 * t) + 0.3 * math.sin(45000.0 * t)]))
+    if k % 50 == 49:
+        pending += len(s.pending_obligations())
+verdicts += len(s.finalize())
+loaded = [m for m in names if m in sys.modules]
+amscheck.load_csv
+print(json.dumps([verdicts, pending, loaded, "amscheck.trace" in sys.modules]))
+"""
+    batch = ["numpy", "amscheck.trace", "amscheck.oracle", "amscheck.wavegen", "amscheck.codegen", "amscheck.clocked",
+             "amscheck.cli"]
+    verdicts, pending, loaded, trace_loaded = fresh_python(code, props, json.dumps(batch))
+    assert verdicts > 0 and pending > 0
+    assert loaded == []
+    assert trace_loaded
 
 
 def test_time_tol_default_is_library_tolerance():
@@ -52,17 +108,11 @@ def test_benchmark_harness_contract():
 def test_benchmark_setup_probe_builds_the_stream_session(tmp_path):
     """`benchmarks/run.py --probe-setup` builds a `Session` for the stream workload
     in a fresh interpreter and prints its normalised setup time."""
-    import runpy
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    workloads = runpy.run_path(str(root / "benchmarks" / "workloads.py"))["WORKLOADS"]
+    workloads = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["WORKLOADS"]
     props = tmp_path / "stream-noisy.txt"
     props.write_text(workloads["stream-noisy"].props)
-    run = subprocess.run([sys.executable, str(root / "benchmarks" / "run.py"), "--probe-setup", str(props), "x"],
-                         capture_output=True, text=True, cwd=root, timeout=120)
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "run.py"), "--probe-setup", str(props), "x"],
+                         capture_output=True, text=True, cwd=ROOT, timeout=120)
     assert run.returncode == 0, run.stderr
     (line,) = run.stdout.splitlines()
     assert float(line) > 0
@@ -71,12 +121,6 @@ def test_benchmark_setup_probe_builds_the_stream_session(tmp_path):
 def test_equivalence_fingerprint_smoke():
     """`tests/_fingerprint.py --tiny` prints one SHA-256 digest per output family,
     the same in a fresh interpreter as in this one."""
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     import _fingerprint
 
     here = Path(__file__).resolve().parent

@@ -311,7 +311,7 @@ class TestStream:
         assert main(["stream", str(props), "--signals", "Vout"]) == 2
         assert capsys.readouterr().err == msg + "\n"
 
-    @pytest.mark.parametrize("names", [("p", "q"), ("p", "p")])
+    @pytest.mark.parametrize("names", [("p", "q")])
     def test_summary_is_the_union_of_the_verdicts(self, tmp_path, monkeypatch, capsys, names):
         props = tmp_path / "props.txt"
         props.write_text(f"{names[0]}: {{V(x)>0}} |-> ##[0.3:0.5] {{V(x)<0}};\n{names[1]}: {{V(x)<0.5}} |-> {{V(x)>-0.5}};\n")
@@ -327,12 +327,21 @@ class TestStream:
                 pieces = [Interval(*v["interval"]) for v in verdicts if (v["assertion"], v["kind"]) == (name, kind)]
                 got = IntervalSet([Interval(*r) for r in rows])
                 assert rows == [[k[0], k[2], not k[1], k[3]] for k in got.keys], (name, kind)  # normalized
-                if names[0] != names[1]:
-                    # one assertion's verdicts of one kind arrive in time order: merged exactly as all at once
-                    assert got == IntervalSet(pieces), (name, kind)
-                else:
-                    # two assertions' verdicts interleave under one name: the summary still holds every one
-                    assert all(got.contains(t) for iv in pieces for t in (iv.lo, iv.hi) if iv.contains(t))
+                # one assertion's verdicts of one kind arrive in time order: merged exactly as all at once
+                assert got == IntervalSet(pieces), (name, kind)
+
+    def test_repeated_assertion_name_exit_two(self, tmp_path, monkeypatch, capsys):
+        props = tmp_path / "props.txt"
+        props.write_text("p: {V(x)>0} |-> {V(x)<1};\np: {V(x)<0.5} |-> {V(x)>-0.5};\n")
+        trace = tmp_path / "t.csv"
+        save_csv(Trace([0.0, 1.0], {"x": [0.0, 1.0]}), trace)
+        assert main(["check", str(trace), str(props)]) == 2
+        checked = capsys.readouterr()
+        assert checked.out == ""
+        assert checked.err == "error: line 2, col 1: assertion name 'p' is already used on line 1\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.0 0.0\n1.0 1.0\n"))
+        assert main(["stream", str(props), "--signals", "x"]) == 2
+        assert capsys.readouterr() == checked
 
     def test_protocol_error_exit_two(self, settle_files, monkeypatch, capsys):
         _, props = settle_files

@@ -303,3 +303,16 @@ class TestParseFile:
     def test_comments_ignored(self):
         text = "# leading comment\n{x} |-> {y}; # trailing\n"
         assert len(parse_file(text)) == 1
+
+    @pytest.mark.parametrize("text, msg", [
+        ("p: {x} |-> {y};\np: {y} |-> {x};", "line 2, col 1: assertion name 'p' is already used on line 1"),
+        # the third assertion is the second unlabeled one, so it is named a2 like the label
+        ("{x} |-> {y};\na2: {y} |-> {x};\n  {x} |-> {x};", "line 3, col 3: assertion name 'a2' is already used on line 2"),
+        ("a1: {x} |-> {y}; {y} |-> {x};", "line 1, col 18: assertion name 'a1' is already used on line 1"),
+        ("property p; {x} |-> {y}; endproperty\n\np: {y} |-> {x};",
+         "line 3, col 1: assertion name 'p' is already used on line 1"),
+    ])
+    def test_repeated_name_is_a_parse_error(self, text, msg):
+        with pytest.raises(ParseError) as exc:
+            parse_file(text)
+        assert str(exc.value) == msg
