@@ -30,7 +30,11 @@ One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
 `build_table`, the trackers for a streaming snapshot), the domain the
 sets are clipped to, and the interval that event points are placed
-against.  Each atom's set is built on its first lookup.  This module
+against.  Each atom's set is built on its first lookup.  The runs of a
+whole trace come with a flag numpy computes alongside: whether they
+pass the gap rule of `intervals` already, each run wider than eps or a
+closed point and each gap wider than eps.  Such runs become the
+predicate's set as they are, without a sort or merge.  This module
 builds truth runs and atom sets only; `engine._Evaluator` combines them.
 
 Event semantics: an event marks the boundary instant where a
@@ -47,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from . import ast
 from .errors import AmscheckError, TraceError, UnknownSignalError
 from .expr import eval_expr, expr_signals, is_affine
-from .intervals import TIME_TOL, Interval, IntervalSet, Key, _meet
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, _meet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,8 +94,10 @@ class _RunTracker:
         return out
 
 
-def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: tuple[bool, bool]) -> list[Key]:
-    """The truth runs of a trace from its run boundaries, as `_RunTracker` builds them.
+def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: tuple[bool, bool],
+               eps: float) -> tuple[list[Key], bool]:
+    """The truth runs of a trace from its run boundaries, as `_RunTracker` builds them,
+    and whether they are normalized with ``eps`` already.
 
     A run that holds at the trace start starts there closed, and one still
     open at the trace end ends there closed.  Every other boundary opens and
@@ -111,7 +117,11 @@ def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: 
     if open_end:
         hi_closed[-1] = True
     keep = (lo < hi) | ((lo == hi) & hi_closed & ~lo_open)
-    return list(zip(lo[keep].tolist(), lo_open[keep].tolist(), hi[keep].tolist(), hi_closed[keep].tolist()))
+    lo, lo_open, hi, hi_closed = lo[keep], lo_open[keep], hi[keep], hi_closed[keep]
+    runs = list(zip(lo.tolist(), lo_open.tolist(), hi.tolist(), hi_closed.tolist()))
+    # every run that is not a closed point wider than eps, and every gap
+    normal = _apart(lo, hi, eps)[lo_open | ~hi_closed].all() and _apart(hi[:-1], lo[1:], eps).all()
+    return runs, bool(normal)
 
 
 class PorvTracker(_RunTracker):
@@ -170,8 +180,9 @@ class PorvTracker(_RunTracker):
                        self.ge)
         self.prev_t, self.prev_g, self.prev_vals = t1, g1, v1
 
-    def trace_runs(self, trace: Trace) -> list[Key]:
-        """The truth runs of a whole trace, as a feed of its samples builds them."""
+    def trace_runs(self, trace: Trace) -> tuple[list[Key], bool]:
+        """The truth runs of a whole trace, as a feed of its samples builds them,
+        and whether they are normalized already."""
         import numpy as np
         times = trace.times()
         arrays = {s: trace.values(s) for s in self.signals}
@@ -189,15 +200,16 @@ class PorvTracker(_RunTracker):
                 v1 = {s: arrays[s][i + 1] for s in self.signals}
                 tc[k] = self._crossing(t0[k], g0[k], v0, t1[k], g1[k], v1)
         bounds = np.where(g0 == 0, t0, np.where(g1 == 0, t1, tc))
-        return _pair_runs(times, bool(truth[0]), bounds, (self.ge, self.ge))
+        return _pair_runs(times, bool(truth[0]), bounds, (self.ge, self.ge), self.eps)
 
 
 class BoolTracker(_RunTracker):
     """Incremental truth-run builder for a digital signal (hold semantics)."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, eps: float = TIME_TOL):
         super().__init__()
         self.name = name
+        self.eps = eps
         self.prev: float = 0.0
 
     def begin(self, t0: float, vals: dict[str, float]) -> None:
@@ -212,11 +224,12 @@ class BoolTracker(_RunTracker):
             self._flip(t1, v == 1.0)
         self.prev = v
 
-    def trace_runs(self, trace: Trace) -> list[Key]:
-        """The truth runs of a whole trace, as a feed of its samples builds them."""
+    def trace_runs(self, trace: Trace) -> tuple[list[Key], bool]:
+        """The truth runs of a whole trace, as a feed of its samples builds them,
+        and whether they are normalized already."""
         times = trace.times()
         truth = trace.values(self.name) == 1.0
-        return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False))
+        return _pair_runs(times, bool(truth[0]), times[1:][truth[:-1] != truth[1:]], (True, False), self.eps)
 
 
 KINDS = ("analog", "boolean")  # the signal kinds a trace or a stream declares
@@ -242,7 +255,7 @@ def trackers(atoms: Iterable[ast.Atom], kinds: dict[str, str], eps: float) -> di
                 raise TraceError(f"V({s}) reads a boolean signal; analog values need an analog signal")
             if not porv and kinds[s] != "boolean":
                 raise TraceError(f"signal {s!r} is analog but is used as a proposition")
-        out[base] = PorvTracker(base, eps) if porv else BoolTracker(base.name)
+        out[base] = PorvTracker(base, eps) if porv else BoolTracker(base.name, eps)
     return out
 
 
@@ -252,13 +265,10 @@ def event_points(components: list[Key], edges: Interval, edge: str) -> list[Key]
     A run that starts at ``edges.lo`` has no pos edge, and one that ends
     closed at ``edges.hi`` has no neg edge: there is no trace outside.
     """
-    pts: list[Key] = []
-    for lo, _, hi, hi_closed in components:
-        if edge in ("pos", "any") and lo > edges.lo:
-            pts.append((lo, False, lo, True))
-        if edge in ("neg", "any") and (hi < edges.hi or (hi == edges.hi and not hi_closed)):
-            pts.append((hi, False, hi, True))
-    return pts
+    pos = [(lo, False, lo, True) for lo, _, _, _ in components if lo > edges.lo] if edge in ("pos", "any") else []
+    neg = [(hi, False, hi, True) for _, _, hi, hi_closed in components
+           if hi < edges.hi or (hi == edges.hi and not hi_closed)] if edge in ("neg", "any") else []
+    return pos + neg
 
 
 class AtomTable:
@@ -266,20 +276,21 @@ class AtomTable:
 
     An atom's set is built on its first `get`.  ``runs(base)`` gives the
     truth runs of a predicate or digital signal in time order, as
-    component keys, computed once per base; an event atom takes its
+    component keys, and whether they are normalized with eps already,
+    computed once per base; an event atom takes its
     points from them, placed against ``edges`` (the domain unless given).
     Only the first run may start before the domain, and it is clipped to
     it.
     """
 
-    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], list[Key]],
+    def __init__(self, domain: Interval, atoms: Iterable[ast.Atom], runs: Callable[[ast.Atom], tuple[list[Key], bool]],
                  edges: Interval | None = None, eps: float = TIME_TOL):
         self.domain = domain
         self.eps = eps
         self._atoms = dict.fromkeys(atoms)
         self._runs = runs
         self._edges = domain if edges is None else edges
-        self._base: dict[ast.Atom, list[Key]] = {}
+        self._base: dict[ast.Atom, tuple[list[Key], bool]] = {}
         self._sets: dict[ast.Atom, IntervalSet] = {}
 
     def get(self, atom: ast.Atom) -> IntervalSet:
@@ -290,12 +301,13 @@ class AtomTable:
             base = atom.pred if isinstance(atom, ast.EventAtom) else atom
             if base not in self._base:
                 self._base[base] = self._runs(base)
-            comps = self._base[base]
+            comps, normal = self._base[base]
             if isinstance(atom, ast.EventAtom):
-                comps = event_points(comps, self._edges, atom.edge)
+                comps, normal = event_points(comps, self._edges, atom.edge), False
             if comps and comps[0][0] < self.domain.lo:
-                comps = [_meet(comps[0], self.domain.key), *comps[1:]]
-            got = self._sets[atom] = IntervalSet.from_keys(comps, self.eps)
+                comps, normal = [_meet(comps[0], self.domain.key), *comps[1:]], False
+            got = IntervalSet._of(tuple(comps), self.eps) if normal else IntervalSet.from_keys(comps, self.eps)
+            self._sets[atom] = got
         return got
 
     def atoms(self) -> tuple[ast.Atom, ...]:

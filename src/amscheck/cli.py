@@ -7,6 +7,9 @@ genwave (synthetic trace CSV from a waveform spec).
 
 Exit codes: 0 clean, 1 at least one fail interval/verdict, 2 usage,
 IO (including input that is not UTF-8), parse, or protocol errors.
+
+The trace, oracle, wavegen and codegen modules are imported by the
+commands that use them, so stream and codegen never load numpy.
 """
 
 from __future__ import annotations
@@ -19,17 +22,20 @@ import sys
 
 from .ast import horizon
 from .atoms import build_table
-from .codegen import CodegenConfig, generate_monitors
 from .engine import assertion_match
-from .errors import AmscheckError, ProtocolError
+from .errors import AmscheckError, ProtocolError, open_utf8
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, key_text
 from .online import Session
-from .oracle import oracle_classify
 from .parser import VALUE_TOL, parse_file
-from .trace import load_csv, open_utf8, save_csv
-from .wavegen import fixture_spec, generate, load_spec
 
 REPORT_VERSION = 1
+
+
+def load_csv(path):
+    """`trace.load_csv`, imported on first use: only the commands that read a trace load numpy."""
+    from .trace import load_csv
+
+    return load_csv(path)
 
 
 def _key_row(k: Key) -> list:
@@ -101,6 +107,8 @@ def _pick(props, name_filter):
 
 
 def cmd_check(args) -> int:
+    # load_csv, parse_file, build_table and assertion_match are looked up in
+    # this module when the command runs, so a caller can wrap them
     trace = load_csv(args.trace)
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     table = build_table(trace, props, eps=args.time_tol)
@@ -178,6 +186,8 @@ def cmd_stream(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_classify
+
     trace = load_csv(args.trace)
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     doc = {"version": REPORT_VERSION, "dt": args.dt, "assertions": []}
@@ -195,6 +205,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_codegen(args) -> int:
+    from .codegen import CodegenConfig, generate_monitors
+
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
     cfg = CodegenConfig(
         time_acc=args.time_acc,
@@ -214,6 +226,9 @@ def cmd_codegen(args) -> int:
 
 
 def cmd_genwave(args) -> int:
+    from .trace import save_csv
+    from .wavegen import fixture_spec, generate, load_spec
+
     if args.fixture:
         spec = fixture_spec(args.fixture)
     elif args.spec:

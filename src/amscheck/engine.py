@@ -137,26 +137,32 @@ class MatchReport:
 def classify(ev: _Evaluator, p: ast.Property, name: str, within: Interval) -> MatchReport:
     """Partition ``within``, a sub-interval of the evaluator's domain, into verdicts.
 
-    An instant is undetermined when it lies within the horizon of the
-    domain end: more trace could still turn its failure into a match.
+    With ``em`` the antecedent's end matches in ``within`` and ``bm`` the
+    instants from which the consequent begins a match within the delay
+    window, ``em`` and ``bm`` meet in the matches, the rest of ``within``
+    is vacuous, and ``em`` fails where it meets the complement in
+    ``within`` of ``bm`` clipped to ``within``.  An instant is undetermined
+    when it lies within the horizon of the domain end: more trace could
+    still turn its failure into a match.
     The consequent is evaluated only if the antecedent matches in ``within``.
     """
     eps, domain = ev.eps, ev.domain
+    win = IntervalSet([within], eps)
     em = ev.end(p.antecedent)
     if within != domain:
-        em = set_intersect(em, IntervalSet([within], eps), eps)
-    vac = set_complement(em, within, eps)
+        em = set_intersect(em, win, eps)
     und = IntervalSet((), eps)
     hor = ast.horizon(p)
     if em.is_empty:
         # no obligation in the window: all of it is vacuous, whatever the consequent does
-        return MatchReport(name, within, und, vac, und, und, hor)
+        return MatchReport(name, within, und, win, und, und, hor)
+    vac = set_complement(em, within, eps)
     bm = ev.begin(p.consequent, ev.dom_set)
     if p.delay is not None:
         lo, hi = p.delay
         bm = minkowski_diff_set(bm, lo, hi, eps)
     matched = set_intersect(em, bm, eps)
-    fail = set_complement(set_union(matched, vac, eps), within, eps)
+    fail = set_intersect(em, set_complement(set_intersect(bm, win, eps), within, eps), eps)
     tail = Interval(domain.hi - hor, domain.hi, False, True).intersect(within)
     if not tail.is_empty:
         tail_set = IntervalSet([tail], eps)

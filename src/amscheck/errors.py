@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `open_utf8`, which opens
+every input file and raises `EncodingError` for bytes that are not UTF-8."""
+
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 
 class AmscheckError(Exception):
@@ -60,3 +64,22 @@ class CodegenError(AmscheckError):
 
 class GridError(AmscheckError):
     """The reference grid step is too coarse for the property or trace."""
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises `EncodingError`
+    naming its line and column, from a binary read that splits lines as text mode does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate((part for chunk in fh for part in chunk.splitlines()), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    col = len(line[: e.start].decode("utf-8")) + 1  # in characters
+                    msg = f"{path}:{lineno}: not UTF-8 (byte 0x{line[e.start]:02x} at column {col})"
+                    raise EncodingError(msg) from None
+        raise

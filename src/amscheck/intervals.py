@@ -10,7 +10,7 @@ An `IntervalSet` stores each component as a plain key tuple
 ``(lo, lo_open, hi, hi_closed)`` with boolean flags.  A closed left end
 reaches further left than an open one at the same value, so native
 tuple order sorts components by start, then by end.  The operations work
-on keys only and leave empty pieces for normalization to drop.
+on keys only.
 `Interval` is the scalar view of one component, which the `IntervalSet`
 constructor takes and `IntervalSet.items` builds on first use.
 
@@ -26,6 +26,27 @@ when they differ by at most ``eps`` (default 1e-9 s); coalescing uses
 the same tolerance.  Arithmetic itself is exact: the tolerance never
 moves an endpoint, it only decides whether two components are merged
 and whether two sets compare equal in `approx_eq`.
+
+One gap rule, `_apart`, decides what survives and what merges: a
+component is kept when its ends are apart (``hi - lo > eps``) or it is
+closed at both ends, and two components stay separate when they are
+apart across the gap between them or touch open/open at one exact point.
+Every set records the eps it is normalized with.  The gaps and the
+widths of a normalized set pass the same test, so the pieces of
+`set_intersect` and `set_complement` over operands normalized with at
+least the eps of the call come out in order and apart by an operand's
+gap or component: these two drop their empty and sub-eps pieces instead
+of sorting and merging.  They normalize in full where that could still
+merge two pieces: `set_intersect` when it dropped a non-empty sliver,
+which may lie between two punctures less than eps apart, or when an
+operand was normalized with a smaller eps, and `set_complement` when the
+operand holds a component at most eps wide that is not a point (in a
+set normalized with eps, a closed sliver).  With a one-component operand
+(a window, the domain or the horizon tail) and ten or more components on
+the other side, `set_intersect` bisects for the components that reach
+into it and cuts only the first and the last.
+`IntervalSet._of` takes keys that are normalized already; `atoms` uses
+it for truth runs that pass the same rule.
 """
 
 from __future__ import annotations
@@ -119,20 +140,29 @@ def _check_delay(c: float, d: float) -> None:
         raise InvalidDelayError(f"delay window [{c}:{d}] needs 0 <= c <= d")
 
 
+def _apart(a, b, eps):
+    """The gap rule: ``b`` lies more than ``eps`` beyond ``a``.  It compares
+    the two ends of one component and the two sides of a gap alike, and
+    numpy arrays elementwise.  `_live` and `_normalize`, the reference
+    normalization, write it out as ``b - a > eps``: a call per component
+    doubles their time on small sets."""
+    return b - a > eps
+
+
+def _live(keys: Iterable[Key], eps: float) -> list[Key]:
+    """The non-empty components of ``keys``, less the sub-eps slivers that are not closed points."""
+    return [k for k in keys if (k[0] < k[2] and k[2] - k[0] > eps) or (k[0] <= k[2] and not k[1] and k[3])]
+
+
 def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
-    """Sort, drop empties, and coalesce overlapping or touching components.
+    """Sort, drop empties and slivers, and coalesce overlapping or touching components.
 
     Two components touching at a single shared endpoint merge only if at
     least one side includes the point; an exact open/open touch keeps a
-    genuine puncture.  Endpoints that differ by no more than ``eps`` but
-    are not identical are treated as numeric noise and merged.
+    genuine puncture.  Components whose sides are not `_apart` across
+    the gap are treated as touching through numeric noise and merged.
     """
-    live = [
-        k
-        for k in keys
-        # non-empty, and a sub-eps sliver only when it is a closed point
-        if (k[0] < k[2] and k[2] - k[0] > eps) or (k[0] <= k[2] and not k[1] and k[3])
-    ]
+    live = _live(keys, eps)
     if not live:
         return ()
     live.sort()
@@ -140,7 +170,7 @@ def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
     rest = iter(live)
     lo, lo_open, hi, hi_closed = next(rest)
     for k in rest:
-        if k[0] > hi + eps or (k[0] == hi and not hi_closed and k[1] and k[0] > lo and hi < k[2]):
+        if k[0] - hi > eps or (k[0] == hi and not hi_closed and k[1] and k[0] > lo and hi < k[2]):
             # a gap, or an exact single-point gap such as [a:c) (c:b]
             out.append((lo, lo_open, hi, hi_closed))
             lo, lo_open, hi, hi_closed = k
@@ -168,16 +198,22 @@ def extend_in_order(held: list[Key], keys: Iterable[Key], eps: float = TIME_TOL)
 class IntervalSet:
     """Normalized finite union of intervals, stored as component keys."""
 
-    __slots__ = ("keys", "_items")
+    __slots__ = ("keys", "_items", "_eps")
 
     def __init__(self, items: Iterable[Interval] = (), eps: float = TIME_TOL):
         self.keys: tuple[Key, ...] = _normalize([i.key for i in items], eps)
         self._items: tuple[Interval, ...] | None = None
+        self._eps = eps  # the tolerance the keys are normalized with
 
     @classmethod
     def from_keys(cls, keys: Iterable[Key], eps: float = TIME_TOL) -> "IntervalSet":
+        return cls._of(_normalize(keys, eps), eps)
+
+    @classmethod
+    def _of(cls, keys: tuple[Key, ...], eps: float) -> "IntervalSet":
+        """The set of ``keys`` that are normalized with ``eps`` already, taken as they are."""
         s = cls.__new__(cls)
-        s.keys, s._items = _normalize(keys, eps), None
+        s.keys, s._items, s._eps = keys, None, eps
         return s
 
     @property
@@ -223,44 +259,68 @@ def set_union(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> Interval
     return IntervalSet.from_keys(a.keys + b.keys, eps)
 
 
+def _clip(ks: tuple[Key, ...], x: Key, eps: float) -> tuple[Key, ...]:
+    """The normalized ``ks`` met with one component ``x``: the components that
+    reach into ``x``, found by bisection, with the first and the last cut to it."""
+    i = max(bisect.bisect_left(ks, x[:2]) - 1, 0)  # the last one to start before x may reach into it
+    j = bisect.bisect_left(ks, x[2:], i)  # the first one to start after x ends
+    if j - i < 2:
+        return tuple(_live([_meet(k, x) for k in ks[i:j]], eps))
+    return tuple(_live([_meet(ks[i], x)], eps)) + ks[i + 1 : j - 1] + tuple(_live([_meet(ks[j - 1], x)], eps))
+
+
 def set_intersect(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> IntervalSet:
-    out: list[Key] = []
-    i = j = 0
+    """``a`` met with ``b``; see the module docstring for when it skips normalizing."""
     ak, bk = a.keys, b.keys
     na, nb = len(ak), len(bk)
+    normal = a._eps >= eps and b._eps >= eps
+    # one component against many: bisecting beats the walk from about ten components
+    if normal and 1 in (na, nb) and max(na, nb) >= 10:
+        (x,), ks = (ak, bk) if na == 1 else (bk, ak)
+        return IntervalSet._of(_clip(ks, x, eps), eps)
+    out: list[Key] = []
+    i = j = 0
     while i < na and j < nb:
         # `_meet`, unrolled: the later start, then the earlier end, whose side advances
-        lo, lo_open, x_hi, x_closed = ak[i]
+        lo, lo_open, hi, hi_closed = ak[i]
         y_lo, y_open, y_hi, y_closed = bk[j]
         if y_lo > lo or (y_lo == lo and y_open > lo_open):
             lo, lo_open = y_lo, y_open
-        if x_hi < y_hi or (x_hi == y_hi and x_closed <= y_closed):
-            out.append((lo, lo_open, x_hi, x_closed))
+        if hi < y_hi or (hi == y_hi and hi_closed <= y_closed):
             i += 1
         else:
-            out.append((lo, lo_open, y_hi, y_closed))
+            hi, hi_closed = y_hi, y_closed
             j += 1
-    return IntervalSet.from_keys(out, eps)
+        if lo < hi or (lo == hi and not lo_open and hi_closed):
+            out.append((lo, lo_open, hi, hi_closed))
+    live = _live(out, eps)
+    # a gap between two kept pieces holds a gap of an operand, unless a dropped sliver lies in it
+    normal = normal and len(live) == len(out)
+    return IntervalSet._of(tuple(live), eps) if normal else IntervalSet.from_keys(out, eps)
 
 
 def set_complement(a: IntervalSet, domain: Interval, eps: float = TIME_TOL) -> IntervalSet:
-    """Complement of ``a`` within ``domain``; closedness flips at shared cuts."""
+    """Complement of ``a`` within ``domain``; closedness flips at shared cuts.
+
+    See the module docstring for when it skips normalizing."""
     if domain.is_empty:
         if a.is_empty:
             return IntervalSet()
         raise DomainError("complement of a non-empty set within an empty domain")
-    for k in a.keys:
-        if k[0] < domain.lo - eps or k[2] > domain.hi + eps:
-            raise DomainError(f"component {Interval.from_key(k)} lies outside domain {domain}")
+    ks = a.keys
+    if ks and (ks[0][0] < domain.lo - eps or ks[-1][2] > domain.hi + eps):  # the first starts first, the last ends last
+        k = ks[0] if ks[0][0] < domain.lo - eps else ks[-1]
+        raise DomainError(f"component {Interval.from_key(k)} lies outside domain {domain}")
     # each gap runs from the previous component's end to the next one's
     # start; a closed end of one is an open start of the other
-    out: list[Key] = []
-    cur_lo, cur_open = domain.lo, not domain.lo_closed
-    for lo, lo_open, hi, hi_closed in a.keys:
-        out.append((cur_lo, cur_open, lo, lo_open))
-        cur_lo, cur_open = hi, hi_closed
-    out.append((cur_lo, cur_open, domain.hi, bool(domain.hi_closed)))
-    return IntervalSet.from_keys(out, eps)
+    starts = ((0.0, False, domain.lo, not domain.lo_closed),) + ks
+    ends = ks + ((domain.hi, bool(domain.hi_closed), 0.0, False),)
+    out = [(p[2], p[3], n[0], n[1]) for p, n in zip(starts, ends)]
+    # two pieces are apart by a component, unless it is at most eps wide but not a point
+    widths = [k[2] - k[0] for k in ks if k[0] < k[2]]
+    if widths and not _apart(0.0, min(widths), eps):
+        return IntervalSet.from_keys(out, eps)
+    return IntervalSet._of(tuple(_live(out, eps)), eps)
 
 
 def set_difference(

@@ -42,7 +42,7 @@ from . import ast
 from .atoms import KINDS, AtomTable, trackers
 from .engine import _Evaluator, classify
 from .errors import ProtocolError
-from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, set_intersect
+from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, extend_in_order, set_intersect
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,13 +143,13 @@ class Session:
         self._t = t
         out: list[Verdict] = []
         # a run boundary within eps before t makes a sliver that normalization would drop: wait
-        if any(t - tr.last <= self.eps for tr in self._trackers.values()):
+        if any(not _apart(tr.last, t, self.eps) for tr in self._trackers.values()):
             return out
         ev = None
         for st in self.props:
             upto = t - st.horizon
             # a window no wider than eps would normalize away: let it grow
-            if upto < self._t0 or upto - st.frontier <= self.eps:
+            if upto < self._t0 or not _apart(st.frontier, upto, self.eps):
                 continue
             if ev is None:
                 ev = _Evaluator(self._snapshot())
@@ -226,5 +226,5 @@ class Session:
     def _snapshot(self) -> AtomTable:
         """Atom truth over [cut, now], from the trackers' runs."""
         t = self._t
-        return AtomTable(Interval(self._cut, t), self._atoms, lambda base: self._trackers[base].components(t),
+        return AtomTable(Interval(self._cut, t), self._atoms, lambda base: (self._trackers[base].components(t), False),
                          edges=Interval(self._t0, t), eps=self.eps)

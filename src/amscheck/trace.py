@@ -22,21 +22,20 @@ header column; ``#`` starts a comment and blank lines are skipped, by a
 filter that feeds the call batches of lines.  Quoted cells, ``1_0``
 digit separators and non-ASCII digits are rejected.  A malformed row
 raises ``TraceError`` naming its line.  The file is read as UTF-8,
-whatever the locale, by `open_utf8`: a byte that is not UTF-8 raises
+whatever the locale, by `errors.open_utf8`: a byte that is not UTF-8 raises
 ``EncodingError`` naming its line and column.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, NoReturn, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
 from .atoms import KINDS
-from .errors import EncodingError, TraceError, UnknownSignalError
+from .errors import TraceError, UnknownSignalError, open_utf8
 from .intervals import Interval
 
 
@@ -118,25 +117,6 @@ class Trace:
             return v0
         t1, v1 = ts.item(i + 1), col.item(i + 1)
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-@contextmanager
-def open_utf8(path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises `EncodingError`
-    naming its line and column, from a binary read that splits lines as text mode does."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate((part for chunk in fh for part in chunk.splitlines()), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as e:
-                    col = len(line[: e.start].decode("utf-8")) + 1  # in characters
-                    msg = f"{path}:{lineno}: not UTF-8 (byte 0x{line[e.start]:02x} at column {col})"
-                    raise EncodingError(msg) from None
-        raise
 
 
 def _read_rows(lines: Iterable[str], width: int) -> np.ndarray | None:

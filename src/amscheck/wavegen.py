@@ -16,8 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .atoms import KINDS
-from .errors import TraceError
-from .trace import Trace, open_utf8
+from .errors import TraceError, open_utf8
+from .trace import Trace
 
 _FIXTURES = {
     "settling": "settling.json",

@@ -68,6 +68,27 @@ print(json.dumps([verdicts, pending, loaded, "amscheck.trace" in sys.modules]))
     assert trace_loaded
 
 
+def test_cli_loads_numpy_only_to_read_a_trace(tmp_path):
+    """`amscheck stream` and `amscheck codegen` run without numpy; the
+    `load_csv` that `amscheck.cli` binds loads the trace module on its first call."""
+    props = tmp_path / "p.txt"
+    props.write_text("a: {V(x)>0.5} |-> ##[0:1] {V(x)<2};\n")
+    csv = tmp_path / "t.csv"
+    csv.write_text("time,x\n0,0\n1,1\n2,3\n")
+    code = """
+import contextlib, io, json, sys
+import amscheck.cli as cli
+props, csv = sys.argv[1:]
+sys.stdin = io.StringIO("0 0\\n1 1\\n2 3\\n")
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [cli.main(["stream", props, "--signals", "x"]), cli.main(["codegen", props])]
+loaded = [m for m in ("numpy", "amscheck.trace") if m in sys.modules]
+rows = len(cli.load_csv(csv).times())
+print(json.dumps([codes, out.getvalue().count("summary"), loaded, rows, "amscheck.trace" in sys.modules]))
+"""
+    assert fresh_python(code, str(props), str(csv)) == [[0, 0], 1, [], 3, True]
+
+
 def test_time_tol_default_is_library_tolerance():
     ap = build_parser()
     for argv in (["check", "t.csv", "p.txt"], ["stream", "p.txt", "--signals", "x:analog"]):

@@ -1,5 +1,6 @@
 """Atom truth-interval extraction tests: predicates, booleans, events."""
 
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from amscheck import (
     parse_property,
 )
 from amscheck import ast as A
-from amscheck.atoms import BoolTracker, PorvTracker
+from amscheck.atoms import BoolTracker, PorvTracker, trackers
 from amscheck.engine import _Evaluator
 from amscheck.expr import BinOp, Const, SignalRef, is_affine
 from amscheck.wavegen import fixture_trace
@@ -243,7 +244,7 @@ class TestSubDomainTable:
             A.BoolSignal("b"): [self.B_RUN],
             A.BoolSignal("c"): [self.C_RUN],
         }
-        return AtomTable(Interval(2.0, 8.0), atoms, runs.__getitem__, edges=Interval(0.0, 8.0))
+        return AtomTable(Interval(2.0, 8.0), atoms, lambda base: (runs[base], False), edges=Interval(0.0, 8.0))
 
     def test_run_crossing_the_cut_is_clipped(self):
         a = A.BoolSignal("a")
@@ -267,7 +268,7 @@ class TestSubDomainTable:
 
         def runs(base):
             calls.append(base)
-            return [self.A_RUN]
+            return [self.A_RUN], False
 
         a = A.BoolSignal("a")
         tab = AtomTable(Interval(2.0, 8.0), [a, A.EventAtom(a, "any")], runs)
@@ -310,7 +311,7 @@ def test_batch_runs_equal_sample_feed_bit_for_bit():
                 cols[name][i] = const.value / mul.value
                 zeros += 1
         tr = Trace(tr.times(), cols)
-        batch, fed = PorvTracker(porv, 1e-9).trace_runs(tr), fed_components(PorvTracker(porv), tr)
+        batch, fed = PorvTracker(porv, 1e-9).trace_runs(tr)[0], fed_components(PorvTracker(porv), tr)
         assert repr(batch) == repr(fed), (case, porv)
     assert zeros > 300 and nonaffine == 30
 
@@ -330,9 +331,46 @@ def test_bool_batch_runs_equal_sample_feed_bit_for_bit():
             d.append(d[-1] if rng.random() < stay else 1.0 - d[-1])
         flips += sum(a != b for a, b in zip(d, d[1:]))
         tr = Trace([t * 0.1 for t in times], {"d": d}, kinds={"d": "boolean"})
-        batch, fed = BoolTracker("d").trace_runs(tr), fed_components(BoolTracker("d"), tr)
+        batch, fed = BoolTracker("d").trace_runs(tr)[0], fed_components(BoolTracker("d"), tr)
         assert repr(batch) == repr(fed), (case, d)
     assert flips > 1000
+
+
+def test_batch_atom_sets_equal_normalizing_their_runs():
+    """`build_table` takes the truth runs of a whole trace as they are when
+    they pass the gap rule already: every atom set equals
+    `IntervalSet.from_keys` of the same runs.  Samples lie on a grid of eps/4
+    with ulp nudges, so runs and gaps of eps exactly and within an ulp of it,
+    sub-eps slivers, closed points (``>=`` at a zero sample) and exact
+    open/open touches (``>`` at one) all occur."""
+    rng = random.Random(5150)
+    eps = 2.0 ** -20  # grid sums are exact, so spreads of eps exactly occur
+    g = eps / 4
+    prop = parse_property("{V(x)>0 && V(x)>=0 && d} |-> {V(x)>0};")
+    atoms = A.collect_atoms(prop)
+    taken = renormalized = at_eps = 0
+    for _ in range(400):
+        t = [rng.choice([0.0, 1.0, 1024.0])]
+        for _ in range(rng.randint(1, 30)):
+            nxt = t[-1] + rng.choice([1, 1, 2, 3, 4, 4, 5, 8]) * g
+            nxt = rng.choice([nxt, nxt, math.nextafter(nxt, math.inf), math.nextafter(nxt, -math.inf)])
+            t.append(max(nxt, math.nextafter(t[-1], math.inf)))
+        x = [rng.choice([-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in t]
+        d = [float(rng.random() < 0.5) for _ in t]
+        tr = Trace(t, {"x": x, "d": d}, kinds={"x": "analog", "d": "boolean"})
+        tab = build_table(tr, prop, eps=eps)
+        for base, tracker in trackers(atoms, tr.kinds, eps).items():
+            runs, normal = tracker.trace_runs(tr)
+            want = IntervalSet.from_keys(runs, eps).keys
+            assert tab.get(base).keys == want, (t, x, d, base)
+            # the least width of a run that is not a closed point, and the least gap
+            spread = min([hi - lo for lo, lo_open, hi, hi_closed in runs if lo_open or not hi_closed]
+                         + [n[0] - p[2] for p, n in zip(runs, runs[1:])], default=math.inf)
+            assert normal == (spread > eps), (t, x, d, base)
+            taken += normal
+            renormalized += want != tuple(runs)
+            at_eps += spread == eps
+    assert taken > 200 and renormalized > 200 and at_eps > 10, (taken, renormalized, at_eps)
 
 
 def test_endpoints_are_python_floats():

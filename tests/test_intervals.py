@@ -1,5 +1,6 @@
 """Unit and randomized-law tests for the interval set layer."""
 
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from amscheck import (
     set_intersect,
     set_union,
 )
-from amscheck.intervals import _contains, _shift, extend_in_order
+from amscheck.intervals import _contains, _live, _meet, _normalize, _shift, extend_in_order
 
 MS = 1e-3
 
@@ -314,3 +315,112 @@ def test_extend_in_order_equals_normalizing_all_pieces_at_once():
         punctures += sum(x[2] == y[0] for x, y in zip(want, want[1:]))
         slivers += sum(0 < k[2] - k[0] <= eps for k in keys)
     assert punctures > 50 and slivers > 500
+
+
+def test_complement_of_a_component_near_eps_wide_is_disjoint_and_covers():
+    """One gap rule: a component that survives normalization as wider than
+    eps also keeps the two pieces of its complement apart, whatever the
+    rounding of ``lo + eps`` at the component's magnitude."""
+    eps = 1e-9
+    cases = 0
+    for mag in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
+        domain = I(-1.0, 2.0 * mag + 1.0)
+        hi = mag + eps
+        for _ in range(4):
+            hi = math.nextafter(hi, -math.inf)
+        for _ in range(9):
+            for lc in (True, False):
+                for hc in (True, False):
+                    if lc and hc and hi - mag <= eps:
+                        continue  # a closed sliver survives at any width; see CHANGES.md
+                    a = S((mag, hi, lc, hc))
+                    comp = set_complement(a, domain)
+                    probes = (-0.5, mag, 0.5 * (mag + hi), hi, math.nextafter(mag, -1.0), math.nextafter(hi, 2.0 * mag))
+                    for t in probes:
+                        assert a.contains(t) != comp.contains(t), (mag, hi, lc, hc, t, a, comp)
+                    assert set_union(a, comp) == IntervalSet([domain])
+                    cases += 1
+            hi = math.nextafter(hi, math.inf)
+    assert cases > 150
+    assert set_complement(S((1.0, 1.0 + 1e-9)), I(0.0, 2.0)) == S((0.0, 1.0, True, False), (1.0 + 1e-9, 2.0, False, True))
+
+
+def grid_set(rng: random.Random, eps: float, n: int = 12, norm: float | None = None) -> IntervalSet:
+    """A set from components on a grid of eps/4, endpoints nudged by an ulp
+    now and then: widths and gaps of eps exactly and within an ulp of it,
+    sub-eps slivers, closed points, and exact open/open touches.  It is
+    normalized with ``norm``, eps unless given."""
+    g = eps / 4
+
+    def nudge(x):
+        return rng.choice([x, x, x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)])
+
+    keys, x = [], rng.choice([0.0, 1.0, 1024.0])
+    for _ in range(rng.randint(0, n)):
+        lo = x
+        hi = nudge(lo + rng.choice([0, 0, 1, 3, 4, 4, 5, 12]) * g)
+        keys.append((lo, rng.random() < 0.5, hi, rng.random() < 0.5))
+        x = nudge(hi + rng.choice([0, 0, 0, 1, 4, 4, 5, 12]) * g)
+    return IntervalSet.from_keys(keys, eps if norm is None else norm)
+
+
+def test_intersect_and_complement_equal_normalizing_their_pieces():
+    """`set_intersect` and `set_complement` skip the sort and merge: on
+    normalized operands they equal `_normalize` of every raw piece, also
+    where that normalization does more than drop empties and slivers."""
+    rng = random.Random(1717)
+    eps = 2.0 ** -20  # grid sums are exact, so gaps of eps exactly occur
+    merged = {"intersect": 0, "complement": 0}
+    exact = 0
+    for _ in range(3000):
+        a = grid_set(rng, eps)
+        # a copy of a moved by up to eps puts punctures of both operands within eps of each other
+        b = rng.choice([grid_set(rng, eps), _shift(a, *[rng.choice([-4, -1, 1, 3, 4, 5]) * eps / 4] * 2, eps)])
+        raw = [_meet(x, y) for x in a.keys for y in b.keys]
+        want = _normalize(raw, eps)
+        assert set_intersect(a, b, eps).keys == want, (a.keys, b.keys)
+        merged["intersect"] += want != tuple(_live(raw, eps))
+        exact += sum(k[2] - k[0] == eps and (k[1] or not k[3]) for k in raw)
+        # one component against many, as a window or the domain is: cut from b, or from big's own ends
+        big = grid_set(rng, eps, 40)
+        ends = sorted(k[i] for k in big.keys for i in (0, 2)) or [0.0]
+        lo, hi = sorted(rng.sample(ends, 2) if len(ends) > 1 else ends * 2)
+        for x in (*b.keys, (lo, rng.random() < 0.5, hi, rng.random() < 0.5)):
+            if x[0] < x[2] or (not x[1] and x[3]):
+                want = _normalize([_meet(k, x) for k in big.keys], eps)
+                assert set_intersect(big, IntervalSet._of((x,), eps), eps).keys == want, (big.keys, x)
+        ends = [k[i] for k in a.keys + b.keys for i in (0, 2)] or [0.0]
+        lo, hi = min(ends) - rng.choice([0.0, eps]), max(ends) + rng.choice([0.0, eps])
+        domain = I(lo, hi, lo == hi or rng.random() < 0.5, lo == hi or rng.random() < 0.5)
+        cuts = [(0.0, False, domain.lo, not domain.lo_closed), *a.keys, (domain.hi, domain.hi_closed, 0.0, False)]
+        raw = [(p[2], p[3], n[0], n[1]) for p, n in zip(cuts, cuts[1:])]
+        want = _normalize(raw, eps)
+        assert set_complement(a, domain, eps).keys == want, (a.keys, domain)
+        merged["complement"] += want != tuple(_live(raw, eps))
+        exact += sum(k[2] - k[0] == eps for k in a.keys)
+    assert min(merged.values()) >= 10 and exact >= 50, (merged, exact)
+
+
+def test_operands_normalized_with_a_smaller_eps_are_normalized_in_full():
+    """Operands normalized with a smaller eps than the call's can hold gaps
+    and components that the call's eps merges or drops: `set_intersect` and
+    `set_complement` then equal `_normalize` of their raw pieces too."""
+    a = IntervalSet([I(0.0, 1.0), I(1.0005, 2.0)])
+    assert set_intersect(a, S((0.0, 2.0)), 1e-3) == set_intersect(S((0.0, 2.0)), a, 1e-3) == S((0.0, 2.0))
+    b = S((0.0, 1.0), (1.5, 1.5005, False, False), (2.0, 3.0))
+    assert set_complement(b, I(0.0, 3.0), 1e-3) == S((1.0, 2.0, False, False))
+    rng = random.Random(2929)
+    eps = 2.0 ** -20
+    merged = 0
+    for _ in range(1000):
+        a, b = grid_set(rng, eps, norm=eps / 8), grid_set(rng, eps, norm=eps / 8)
+        raw = [_meet(x, y) for x in a.keys for y in b.keys]
+        want = _normalize(raw, eps)
+        assert set_intersect(a, b, eps).keys == want, (a.keys, b.keys)
+        merged += want != tuple(_live(raw, eps))
+        ends = [k[i] for k in a.keys for i in (0, 2)] or [0.0]
+        domain = I(min(ends), max(ends))
+        cuts = [(0.0, False, domain.lo, False), *a.keys, (domain.hi, True, 0.0, False)]
+        want = _normalize([(p[2], p[3], n[0], n[1]) for p, n in zip(cuts, cuts[1:])], eps)
+        assert set_complement(a, domain, eps).keys == want, (a.keys, domain)
+    assert merged >= 30, merged
