@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -67,10 +68,10 @@ def _assertion_text(r) -> str:
     def rows(s: IntervalSet) -> str:
         if not s:
             return "[]"
-        return "[\n" + ",\n".join([
-            _ROW % (get(lo) or num(lo), get(hi) or num(hi), _BOOL[not lo_open], _BOOL[hi_closed])
-            for lo, lo_open, hi, hi_closed in s.keys
-        ]) + "\n      ]"
+        cells = []
+        for lo, lo_open, hi, hi_closed in s.keys:
+            cells += (get(lo) or num(lo), get(hi) or num(hi), _BOOL[not lo_open], _BOOL[hi_closed])
+        return "[\n" + ",\n".join([_ROW] * len(s.keys)) % tuple(cells) + "\n      ]"
 
     return _ASSERTION % (rows(r.fail), json.dumps(r.horizon), json.dumps(r.name), rows(r.nonvacuous),
                          rows(r.undetermined), rows(r.vacuous))
@@ -304,9 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call and shared by every later one: parse_args keeps nothing of a call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AmscheckError, OSError) as e:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and `open_utf8`, which opens
 every input file and raises `EncodingError` for bytes that are not UTF-8."""
 
+import os
+import stat
 from contextlib import contextmanager
 from typing import Iterator, TextIO
 
@@ -68,18 +70,21 @@ class GridError(AmscheckError):
 
 @contextmanager
 def open_utf8(path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text.  A byte that is not UTF-8 raises `EncodingError`
-    naming its line and column, from a binary read that splits lines as text mode does."""
+    """``path`` opened as UTF-8 text, without a leading byte-order mark.  A byte that is not
+    UTF-8 raises `EncodingError` naming its line and column, from a binary read that splits
+    lines as text mode does; from a pipe or FIFO, which cannot be read twice, it names the byte."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as e:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe or FIFO cannot be read again
+            raise EncodingError(f"{path}: not UTF-8 (byte 0x{e.object[e.start]:02x})") from None
         with open(path, "rb") as fh:
             for lineno, line in enumerate((part for chunk in fh for part in chunk.splitlines()), start=1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as e:
-                    col = len(line[: e.start].decode("utf-8")) + 1  # in characters
+                    col = len(line[: e.start].decode("utf-8-sig" if lineno == 1 else "utf-8")) + 1  # in characters
                     msg = f"{path}:{lineno}: not UTF-8 (byte 0x{line[e.start]:02x} at column {col})"
                     raise EncodingError(msg) from None
         raise

@@ -16,21 +16,24 @@ CSV layout::
 
 The header is the first line that is neither blank nor a ``#`` comment.
 The optional ``#kind`` row must come before the data and defaults every
-column to analog.  One ``np.loadtxt`` call parses the data rows:
-comma-separated numbers with optional surrounding whitespace, one per
-header column; ``#`` starts a comment and blank lines are skipped, by a
-filter that feeds the call batches of lines.  Quoted cells, ``1_0``
-digit separators and non-ASCII digits are rejected.  A malformed row
-raises ``TraceError`` naming its line.  The file is read as UTF-8,
-whatever the locale, by `errors.open_utf8`: a byte that is not UTF-8 raises
-``EncodingError`` naming its line and column.
+column to analog.  The data rows are comma-separated numbers with
+optional surrounding whitespace, one per header column; ``#`` starts a
+comment and blank lines are skipped.  Quoted cells, ``1_0`` digit
+separators and non-ASCII digits are rejected.  ``np.loadtxt`` reads a
+regular file by name; a file it rejects, a pipe and a name it would not
+open as a plain file go through a line filter, where a malformed row raises
+``TraceError`` naming its line.  The file is read as UTF-8, whatever the
+locale, without a leading byte-order mark, by `errors.open_utf8`: a byte
+that is not UTF-8 raises ``EncodingError`` naming its line and column.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, NoReturn
+import os
+import stat
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NoReturn, TextIO
 
 import numpy as np
 
@@ -119,10 +122,10 @@ class Trace:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _read_rows(lines: Iterable[str], width: int) -> np.ndarray | None:
-    """``lines`` as an (n, width) float64 array, or None if np.loadtxt rejects them."""
+def _read_rows(source: str | Iterable[str], width: int, **file_args) -> np.ndarray | None:
+    """``source``, a file name or data lines, as an (n, width) float64 array, or None if np.loadtxt rejects it."""
     try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        rows = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **file_args)
     except ValueError:
         return None
     return rows if rows.shape[1] == width else None
@@ -162,10 +165,30 @@ def _bad_row(path, lines: Iterable[str], first: int, width: int) -> NoReturn:
     raise TraceError(f"{path}:{linenos[lo]}: could not convert string to float: {bad!r}")
 
 
+def _data_rows(path, fh: TextIO, line: str, first: int, width: int) -> np.ndarray:
+    """The data rows as an (n, width) float64 array: ``line``, which is line ``first``
+    of ``path``, and the lines after it, which ``fh`` has still to read."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    # numpy reads a regular file by name from the first data row on, in large chunks; it opens
+    # a name with a compressor's suffix as a compressed file and one holding "://" as a URL,
+    # and a pipe or FIFO holds only what the header loop left
+    plain = isinstance(name, str) and "://" not in name and not name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+    if plain and stat.S_ISREG(os.stat(name).st_mode):
+        if (rows := _read_rows(name, width, skiprows=first - 1, encoding="utf-8-sig")) is not None:
+            return rows
+    # otherwise, or if numpy rejects the file (a comment, whitespace-only line or malformed row
+    # among the data, or a byte that is not UTF-8), filter the lines of ``fh``, which are kept
+    # for _bad_row; ~64 KiB batches, not single lines, keep clean lines as fast as bare loadtxt
+    batches = [[line], *iter(lambda: fh.readlines(1 << 16), [])]
+    if (rows := _read_rows(chain.from_iterable(_data_lines(path, batches, first)), width)) is None:
+        _bad_row(path, chain.from_iterable(batches), first, width)
+    return rows
+
+
 def load_csv(path) -> Trace:
     header: list[str] | None = None
     kinds: dict[str, str] = {}
-    first_data: int | None = None  # line number of the first data row
+    data = None
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
@@ -182,20 +205,12 @@ def load_csv(path) -> Trace:
                     raise TraceError(f"{path}:{lineno}: #kind row arity mismatch")
                 kinds = dict(zip(header[1:], row[1:]))
             elif not row[0].startswith("#"):
-                # numpy parses this row and every row after it in one call
-                first_data = lineno
-                # filtering ~64 KiB batches, not single lines, keeps clean files as fast as bare loadtxt
-                batches = chain([[line]], iter(lambda: fh.readlines(1 << 16), []))
-                data = _read_rows(chain.from_iterable(_data_lines(path, batches, lineno)), len(header))
+                data = _data_rows(path, fh, line, lineno, len(header))  # this row and every row after it
                 break
     if header is None:
         raise TraceError(f"{path}: no header row")
-    if first_data is None:
+    if data is None:
         data = np.empty((0, len(header)))
-    elif data is None:
-        # a malformed line among the data rows: find it
-        with open_utf8(path) as fh:
-            _bad_row(path, islice(fh, first_data - 1, None), first_data, len(header))
     return Trace(data[:, 0], {name: data[:, j] for j, name in enumerate(header[1:], 1)}, kinds)
 
 

@@ -1,5 +1,6 @@
 """Command-line harness tests, driven in-process through main()."""
 
+import contextlib
 import io
 import json
 import math
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from amscheck.cli import main, write_report
+from amscheck import cli
+from amscheck.cli import build_parser, main, write_report
+from amscheck.intervals import TIME_TOL
 from amscheck.engine import MatchReport
 from amscheck.wavegen import fixture_trace
 from amscheck import Interval, IntervalSet, Trace, save_csv
@@ -194,6 +197,79 @@ class TestCheck:
         trace, props = settle_files
         assert main(["check", str(trace), str(props), "--assert-name", "settling"]) == 0
         assert main(["check", str(trace), str(props), "--assert-name", "absent"]) == 2
+
+
+class TestRepeatedCalls:
+    """One process may call main() many times: the parser it builds once keeps nothing of a call."""
+
+    @pytest.fixture
+    def two_files(self, tmp_path):
+        trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        trace.write_text("time,x\n0,0\n1,1\n2,0\n")
+        props.write_text("p: {V(x)>0.5} |-> {V(x)>0};\nq: {V(x)>0.5} |-> {V(x)<2};\n")
+        return str(trace), str(props)
+
+    def test_options_do_not_carry_over(self, two_files, monkeypatch, capsys):
+        seen = []
+        real = cli.build_table
+        monkeypatch.setattr(cli, "build_table", lambda trace, props, eps: seen.append(eps) or real(trace, props, eps))
+        for _ in range(3):
+            assert main(["check", *two_files, "--time-tol", "1e-6", "--assert-name", "p"]) == 0
+            picked = capsys.readouterr().out
+            assert main(["check", *two_files]) == 0
+            both = capsys.readouterr().out
+            assert [line.split()[0] for line in picked.splitlines()] == ["p"]
+            assert [line.split()[0] for line in both.splitlines()] == ["p", "q"]
+        assert seen == [1e-6, TIME_TOL] * 3
+
+    def test_usage_error_then_valid_call(self, two_files, capsys):
+        for argv in (["check", two_files[0]], ["check", *two_files, "--time-tol", "-1"], ["nope"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            assert main(["check", *two_files]) == 0
+            assert "q  PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["stream", "--help"]])
+    def test_help_text_unchanged(self, argv):
+        def help_text(parse):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as e:
+                parse(argv)
+            assert e.value.code == 0
+            return out.getvalue()
+
+        first = help_text(main)
+        assert first == help_text(main) == help_text(build_parser().parse_args)
+        assert "usage: amscheck" in first
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports and some editors write, is dropped."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_trace(self, tmp_path, capsys):
+        trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        trace.write_bytes(self.BOM + b"time,x\n0,1\n1,2\n")
+        props.write_text("p: {V(x)>0} |-> {V(x)>0};\n")
+        assert main(["check", str(trace), str(props)]) == 0
+        assert capsys.readouterr().out == "p  PASS  match=1 vacuous=0 fail=0 undetermined=0\n"
+
+    def test_assertions(self, settle_files, capsys):
+        trace, props = settle_files
+        assert main(["check", str(trace), str(props)]) == 0
+        plain = capsys.readouterr().out
+        props.write_bytes(self.BOM + props.read_bytes())
+        assert main(["check", str(trace), str(props)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_genwave_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        text = json.dumps({"signals": {"v": {"segments": [{"type": "pwl", "points": [[0, 0], [1, 1]]}]}}})
+        spec.write_bytes(self.BOM + text.encode())
+        assert main(["genwave", str(spec), "--out", str(tmp_path / "w.csv")]) == 0
+        assert "signals v" in capsys.readouterr().out
 
 
 class TestNumericOptions:
@@ -481,6 +557,8 @@ class TestNoTraceback:
         # the column counts characters: the two-byte é before the bad byte is one column
         "assertions-last-line-not-utf8": ("assertions", b"p: {V(x)>0} |-> {V(x)>0};\n# caf\xc3\xa9 \xff"),
         "spec-header-not-utf8": ("genwave", b'\xfe{"signals": {}}\n'),
+        # a leading byte-order mark is not counted as a column
+        "trace-bom-header-not-utf8": ("trace", b"\xef\xbb\xbftime,x\xff\n0,1\n1,2\n"),
     }
     # (line, column) of the first byte that is not UTF-8, and that byte
     NOT_UTF8 = {
@@ -492,6 +570,7 @@ class TestNoTraceback:
         "assertions-not-utf8": (1, 29, 0xFF),
         "assertions-last-line-not-utf8": (2, 8, 0xFF),
         "spec-header-not-utf8": (1, 1, 0xFE),
+        "trace-bom-header-not-utf8": (1, 7, 0xFF),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,12 +1,16 @@
 """Trace container, interpolation, and CSV round-trip tests."""
 
 import csv
+import os
 import pathlib
+import threading
+import urllib.request
 
 import numpy as np
 import pytest
 
 from amscheck import Trace, TraceError, UnknownSignalError, build_table, load_csv, parse_property, save_csv
+from amscheck import AmscheckError, trace
 from amscheck.wavegen import fixture_trace
 
 
@@ -304,3 +308,165 @@ class TestFixtureWaveform:
         assert len(runs) == 4
         assert runs[0] == pytest.approx([1.6e-3, 2.03e-3])
         assert runs[-1] == pytest.approx([3.8e-3, 7.9e-3])
+
+
+def hand_written_file(rng) -> tuple[bytes, bool]:
+    """A seeded trace in the style of hand-written files, and whether it is clean: no comment,
+    whitespace-only line or malformed row among the data and nothing but UTF-8."""
+    # a fifth of the files run past the text reader's first 8 KiB chunk
+    n, width = int(rng.integers(2, 60) if rng.random() < 0.8 else rng.integers(400, 600)), int(rng.integers(2, 5))
+    fmt = [repr, "{:.6e}".format, "{:g}".format, lambda v: f"  {v!r}\t"][int(rng.integers(0, 4))]
+    head = ["time," + ",".join(f"s{j}" for j in range(1, width)), "#kind" + ",analog" * (width - 1)]
+    if rng.random() < 0.5:
+        head.insert(int(rng.integers(0, 3)), ["# exported by hand", "", "   "][int(rng.integers(0, 3))])
+    rows = [",".join(fmt(v) for v in [i * 1e-3, *rng.normal(0.0, 1.0, width - 1).tolist()]) for i in range(n)]
+    clean = True
+    for _ in range(int(rng.integers(0, 3))):
+        at, kind = int(rng.integers(1, n + 1)), int(rng.integers(0, 8))
+        blank = ["", " ", "\t "][int(rng.integers(0, 3))]
+        clean = clean and kind == 2 and not blank  # numpy skips empty lines itself
+        if kind == 0:
+            rows.insert(at, "# a note among the data")
+        elif kind == 1:
+            rows[at - 1] += "  # trailing note"
+        elif kind == 2:
+            rows.insert(at, blank)
+        elif kind == 3:
+            rows.insert(at, "#kind" + ",boolean" * (width - 1))
+        elif kind == 4:
+            rows[at - 1] = rows[at - 1].rsplit(",", 1)[0] + ",abc"
+        elif kind == 5:
+            rows[at - 1] += ",1"
+        elif kind == 6:
+            rows[at - 1] = rows[at - 1].rsplit(",", 1)[0] + ","
+        else:
+            rows[at - 1] = "\udcff" + rows[at - 1]  # written as the lone byte 0xff
+    end = ["\n", "\r\n", "\r"][int(rng.integers(0, 3))]
+    data = end.join(head + rows).encode("utf-8", "surrogateescape") + end.encode() * int(rng.integers(0, 2))
+    return (b"\xef\xbb\xbf" if rng.random() < 0.3 else b"") + data, clean
+
+
+def outcome(path):
+    """The arrays and kinds ``load_csv`` reads from ``path``, or its error's type and text."""
+    try:
+        tr = load_csv(path)
+    except AmscheckError as e:
+        return type(e).__name__, str(e)
+    return tr.times().tobytes(), [tr.values(n).tobytes() for n in tr.signals], tr.kinds
+
+
+class TestCsvReadByName:
+    """numpy reads a file by name from its first data row on; a file it rejects
+    is read again line by line.  Both reads must give the same trace or error."""
+
+    SUFFIXES = [".csv", ".csv.gz", ".bz2", ".xz", ".lzma"]  # numpy opens the last four as compressed files
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    def test_same_as_the_line_filter(self, tmp_path, monkeypatch, seed, suffix):
+        rng = np.random.default_rng([seed, self.SUFFIXES.index(suffix)])
+        read_rows = trace._read_rows
+        by_name = []  # the files whose rows numpy read by name
+
+        def spied(source, width, **file_args):
+            rows = read_rows(source, width, **file_args)
+            if isinstance(source, str):
+                by_name.append(rows is not None)
+            return rows
+
+        for i in range(20):
+            text, clean = hand_written_file(rng)
+            path = tmp_path / f"t{i}{suffix}"
+            path.write_bytes(text)
+            monkeypatch.setattr(trace, "_read_rows", spied)
+            by_name.clear()
+            got = outcome(path)
+            # no read by name: the line filter alone
+            monkeypatch.setattr(trace, "_read_rows", lambda s, w, **f: None if isinstance(s, str) else read_rows(s, w))
+            assert got == outcome(path), text
+            # numpy reads every clean file by name, no file it should not open, and accepts no other
+            assert by_name == [True] if clean and suffix == ".csv" else True not in by_name, text
+            assert suffix == ".csv" or by_name == [], text
+
+    def test_a_name_that_reads_as_a_url_is_read_locally(self, tmp_path, monkeypatch):
+        """np.loadtxt would fetch a name holding "://" from the network; it is read from disk."""
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("urlopen called")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "example.com").mkdir(parents=True)
+        (tmp_path / "http:" / "example.com" / "t.csv").write_text("time,x\n0,1\n1,2\n")
+        assert load_csv("http://example.com/t.csv").values("x").tolist() == [1.0, 2.0]
+
+
+class TestPipe:
+    """A trace read from a pipe, which can be read only once, loads as the same file on
+    disk does; numpy cannot read it by name after the header loop has read from it."""
+
+    @staticmethod
+    def through_pipe(data: bytes):
+        """``outcome`` of ``data`` written into a pipe and read by its /dev/fd name."""
+        r, w = os.pipe()
+
+        def write():
+            with open(w, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return outcome(f"/dev/fd/{r}"), f"/dev/fd/{r}"
+        finally:
+            writer.join()
+            os.close(r)
+
+    @staticmethod
+    def rows(n: int) -> list[str]:
+        return ["time,x,y\n"] + [f"{i * 0.5!r},{(i * 7919) % 101 / 7!r},{i}\n" for i in range(n)]
+
+    @pytest.mark.parametrize("n", [2, 50, 1000, 8000])  # up to well past the 8 KiB text buffer and the 64 KiB pipe
+    @pytest.mark.parametrize("change", ["none", "comment", "blank", "bad cell", "short row", "late kind", "bom"])
+    def test_same_as_the_file(self, tmp_path, n, change):
+        lines = self.rows(n)
+        at = len(lines) - 1
+        if change == "comment":
+            lines.insert(at, "# a note\n")
+        elif change == "blank":
+            lines.insert(at, "  \t\n")
+        elif change == "bad cell":
+            lines[at] = "1e9,abc,1\n"
+        elif change == "short row":
+            lines[at] = "1e9,1\n"
+        elif change == "late kind":
+            lines.insert(at, "#kind,analog,boolean\n")
+        elif change == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        data = "".join(lines).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        got, name = self.through_pipe(data)
+        want = outcome(path)
+        if isinstance(want[0], str):  # an error: the same text, naming the pipe
+            want = (want[0], want[1].replace(str(path), name))
+        assert got == want
+        assert (change in ("none", "comment", "blank", "bom")) == (not isinstance(got[0], str))
+
+    def test_a_byte_that_is_not_utf8_is_named(self):
+        got, name = self.through_pipe(b"time,x\n0,1\n1,\xff\n")
+        assert got == ("EncodingError", f"{name}: not UTF-8 (byte 0xff)")
+
+    def test_check_reads_a_pipe(self, tmp_path, capsys):
+        from amscheck.cli import main
+
+        props = tmp_path / "p.txt"
+        props.write_text("p: {V(x)>0} |-> {V(y)>=0};\n")
+        r, w = os.pipe()
+        with open(w, "wb") as fh:
+            fh.write("".join(self.rows(50)).encode())
+        try:
+            assert main(["check", f"/dev/fd/{r}", str(props)]) == 0
+        finally:
+            os.close(r)
+        assert capsys.readouterr().out.startswith("p  PASS  match=")
