@@ -31,10 +31,10 @@ It is built from a source of base runs (the whole trace for
 `build_table`, the trackers for a streaming snapshot), the domain the
 sets are clipped to, and the interval that event points are placed
 against.  Each atom's set is built on its first lookup.  The runs of a
-whole trace come with a flag numpy computes alongside: whether they
-pass the gap rule of `intervals` already, each run wider than eps or a
-closed point and each gap wider than eps.  Such runs become the
-predicate's set as they are, without a sort or merge.  This module
+whole trace come with a flag numpy computes alongside: whether they are
+normalized already, each run wider than eps or a closed point and apart
+from the next by a positive gap.  Such runs become the predicate's set
+as they are, without a sort or merge.  This module
 builds truth runs and atom sets only; `engine._Evaluator` combines them.
 
 Event semantics: an event marks the boundary instant where a
@@ -119,8 +119,9 @@ def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: 
     keep = (lo < hi) | ((lo == hi) & hi_closed & ~lo_open)
     lo, lo_open, hi, hi_closed = lo[keep], lo_open[keep], hi[keep], hi_closed[keep]
     runs = list(zip(lo.tolist(), lo_open.tolist(), hi.tolist(), hi_closed.tolist()))
-    # every run that is not a closed point wider than eps, and every gap
-    normal = _apart(lo, hi, eps)[lo_open | ~hi_closed].all() and _apart(hi[:-1], lo[1:], eps).all()
+    # every run that is not a closed point wider than eps, and every gap wider than 0: rounding can
+    # put two crossings on one float, and an exact zero of a `>` predicate makes a puncture
+    normal = _apart(lo, hi, eps)[lo_open | ~hi_closed].all() and (hi[:-1] < lo[1:]).all()
     return runs, bool(normal)
 
 

@@ -262,21 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--time-tol", type=_number(">="), default=TIME_TOL, help="time comparison tolerance in seconds")
         p.add_argument("--value-tol", type=_number(">="), default=VALUE_TOL, help="tolerance used to desugar == on analog values")
         p.add_argument("--assert-name", default=None, help="check only the named assertion")
+
+    def dense(p):  # the two commands that build interval sets
+        p.add_argument("--time-tol", type=_number(">="), default=TIME_TOL, help="time tolerance in seconds: thinner pieces drop, closed points stay")
+        common(p)
 
     p = sub.add_parser("check", help="check a trace CSV against an assertion file")
     p.add_argument("trace")
     p.add_argument("assertions")
     p.add_argument("--report", default=None, help="write a JSON report here")
-    common(p)
+    dense(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("stream", help="check samples streamed on stdin")
     p.add_argument("assertions")
     p.add_argument("--signals", required=True, help="comma list of name:kind declaring the sample columns")
-    common(p)
+    dense(p)
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("oracle", help="dense-grid reference classification")

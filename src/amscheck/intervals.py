@@ -4,7 +4,7 @@ Intervals carry explicit endpoint closedness so that open boundaries
 produced by strict comparisons, and the flips introduced by
 complementation, survive every operation exactly.  Sets are kept
 normalized: components sorted, pairwise disjoint, and coalesced when
-they overlap or touch within the endpoint tolerance.
+they overlap or touch.
 
 An `IntervalSet` stores each component as a plain key tuple
 ``(lo, lo_open, hi, hi_closed)`` with boolean flags.  A closed left end
@@ -21,30 +21,24 @@ component ``[l:r]`` to ``[l+dlo : r+dhi]``.  The Minkowski sum and
 difference with a delay window and the recurrence rule of the engine
 are all calls to that shift.
 
-All times are seconds as floats.  Two endpoints are considered equal
-when they differ by at most ``eps`` (default 1e-9 s); coalescing uses
-the same tolerance.  Arithmetic itself is exact: the tolerance never
-moves an endpoint, it only decides whether two components are merged
-and whether two sets compare equal in `approx_eq`.
+All times are seconds as floats.  Arithmetic is exact, and so is the
+merge: two components coalesce only where they overlap or touch at a
+point one of them holds, and any positive gap stays, however narrow.
+The tolerance ``eps`` (default 1e-9 s) never moves an endpoint and never
+joins two components.  It drops slivers, `_live`: a component is kept
+when it is wider than eps or is a closed point.  `approx_eq` compares
+endpoints within it.
 
-One gap rule, `_apart`, decides what survives and what merges: a
-component is kept when its ends are apart (``hi - lo > eps``) or it is
-closed at both ends, and two components stay separate when they are
-apart across the gap between them or touch open/open at one exact point.
-Every set records the eps it is normalized with.  The gaps and the
-widths of a normalized set pass the same test, so the pieces of
-`set_intersect` and `set_complement` over operands normalized with at
-least the eps of the call come out in order and apart by an operand's
-gap or component: these two drop their empty and sub-eps pieces instead
-of sorting and merging.  They normalize in full where that could still
-merge two pieces: `set_intersect` when it dropped a non-empty sliver,
-which may lie between two punctures less than eps apart, or when an
-operand was normalized with a smaller eps, and `set_complement` when the
-operand holds a component at most eps wide that is not a point (in a
-set normalized with eps, a closed sliver).  With a one-component operand
-(a window, the domain or the horizon tail) and ten or more components on
-the other side, `set_intersect` bisects for the components that reach
-into it and cuts only the first and the last.
+Every set records the eps it is normalized with.  The pieces that
+`set_intersect` and `set_complement` cut from normalized operands come
+out in order, kept apart by a gap or a component of an operand, and
+dropping a sliver bridges nothing, so these two drop their empty and
+sub-eps pieces instead of sorting and merging.  With a one-component
+operand (a window, the domain or the horizon tail) and ten or more
+components on the other side, `set_intersect` bisects for the components
+that reach into it and cuts only the first and the last; it passes the
+components in between as they are, so it does so only when both
+operands are normalized with at least the eps of the call.
 `IntervalSet._of` takes keys that are normalized already; `atoms` uses
 it for truth runs that pass the same rule.
 """
@@ -58,7 +52,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, InvalidDelayError
 
-#: Default endpoint comparison / coalescing tolerance, in seconds.
+#: Default sliver-width and endpoint comparison tolerance, in seconds.
 TIME_TOL = 1e-9
 
 #: One component as ``(lo, lo_open, hi, hi_closed)``; see the module docstring.
@@ -141,11 +135,9 @@ def _check_delay(c: float, d: float) -> None:
 
 
 def _apart(a, b, eps):
-    """The gap rule: ``b`` lies more than ``eps`` beyond ``a``.  It compares
-    the two ends of one component and the two sides of a gap alike, and
-    numpy arrays elementwise.  `_live` and `_normalize`, the reference
-    normalization, write it out as ``b - a > eps``: a call per component
-    doubles their time on small sets."""
+    """``b`` lies more than ``eps`` beyond ``a``, elementwise on numpy arrays
+    too: the width test of `_live`, which writes it out as ``b - a > eps``
+    because a call per component doubles its time on small sets."""
     return b - a > eps
 
 
@@ -159,8 +151,7 @@ def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
 
     Two components touching at a single shared endpoint merge only if at
     least one side includes the point; an exact open/open touch keeps a
-    genuine puncture.  Components whose sides are not `_apart` across
-    the gap are treated as touching through numeric noise and merged.
+    genuine puncture.  A gap of any positive width stays.
     """
     live = _live(keys, eps)
     if not live:
@@ -170,7 +161,7 @@ def _normalize(keys: Iterable[Key], eps: float) -> tuple[Key, ...]:
     rest = iter(live)
     lo, lo_open, hi, hi_closed = next(rest)
     for k in rest:
-        if k[0] - hi > eps or (k[0] == hi and not hi_closed and k[1] and k[0] > lo and hi < k[2]):
+        if k[0] > hi or (k[0] == hi and not hi_closed and k[1] and k[0] > lo and hi < k[2]):
             # a gap, or an exact single-point gap such as [a:c) (c:b]
             out.append((lo, lo_open, hi, hi_closed))
             lo, lo_open, hi, hi_closed = k
@@ -186,8 +177,8 @@ def extend_in_order(held: list[Key], keys: Iterable[Key], eps: float = TIME_TOL)
     Keys that start no earlier than any held component, as time-ordered
     pieces do, can merge only with the last one, so only it is redone,
     and ``held`` ends as the normalization of every piece at once.  An
-    earlier key redoes the components from the one before it; the union
-    is then the same, but a merge within eps can come out differently.
+    earlier key redoes the components from the one before it, which all
+    end before it starts, so the result is the same in any order.
     """
     keys = list(keys)
     if keys:
@@ -270,12 +261,11 @@ def _clip(ks: tuple[Key, ...], x: Key, eps: float) -> tuple[Key, ...]:
 
 
 def set_intersect(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> IntervalSet:
-    """``a`` met with ``b``; see the module docstring for when it skips normalizing."""
+    """``a`` met with ``b``; see the module docstring for why it needs no sort or merge."""
     ak, bk = a.keys, b.keys
     na, nb = len(ak), len(bk)
-    normal = a._eps >= eps and b._eps >= eps
     # one component against many: bisecting beats the walk from about ten components
-    if normal and 1 in (na, nb) and max(na, nb) >= 10:
+    if a._eps >= eps and b._eps >= eps and 1 in (na, nb) and max(na, nb) >= 10:
         (x,), ks = (ak, bk) if na == 1 else (bk, ak)
         return IntervalSet._of(_clip(ks, x, eps), eps)
     out: list[Key] = []
@@ -293,16 +283,13 @@ def set_intersect(a: IntervalSet, b: IntervalSet, eps: float = TIME_TOL) -> Inte
             j += 1
         if lo < hi or (lo == hi and not lo_open and hi_closed):
             out.append((lo, lo_open, hi, hi_closed))
-    live = _live(out, eps)
-    # a gap between two kept pieces holds a gap of an operand, unless a dropped sliver lies in it
-    normal = normal and len(live) == len(out)
-    return IntervalSet._of(tuple(live), eps) if normal else IntervalSet.from_keys(out, eps)
+    return IntervalSet._of(tuple(_live(out, eps)), eps)
 
 
 def set_complement(a: IntervalSet, domain: Interval, eps: float = TIME_TOL) -> IntervalSet:
     """Complement of ``a`` within ``domain``; closedness flips at shared cuts.
 
-    See the module docstring for when it skips normalizing."""
+    See the module docstring for why it needs no sort or merge."""
     if domain.is_empty:
         if a.is_empty:
             return IntervalSet()
@@ -316,10 +303,6 @@ def set_complement(a: IntervalSet, domain: Interval, eps: float = TIME_TOL) -> I
     starts = ((0.0, False, domain.lo, not domain.lo_closed),) + ks
     ends = ks + ((domain.hi, bool(domain.hi_closed), 0.0, False),)
     out = [(p[2], p[3], n[0], n[1]) for p, n in zip(starts, ends)]
-    # two pieces are apart by a component, unless it is at most eps wide but not a point
-    widths = [k[2] - k[0] for k in ks if k[0] < k[2]]
-    if widths and not _apart(0.0, min(widths), eps):
-        return IntervalSet.from_keys(out, eps)
     return IntervalSet._of(tuple(_live(out, eps)), eps)
 
 

@@ -23,7 +23,8 @@ instant past an assertion's frontier depends on the trace back to its
 lookback, ``depth(antecedent) + horizon``, before the frontier.  So
 after each emission the trackers drop every run that ends before the
 cut: the earliest frontier minus its lookback, less two time
-tolerances so that coalescing across the cut still sees both sides.
+tolerances, so that a run clipped to a sliver at the cut, which
+normalization drops, ends before anything the lookback reads.
 Evaluation covers the sub-domain [cut, now] only.  A snapshot is the
 batch `atoms.AtomTable` over the trackers' runs instead of the trace:
 its domain is [cut, now], event edges are placed against the stream

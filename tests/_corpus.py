@@ -3,6 +3,12 @@
 Traces are piecewise linear with a modest number of knots; assertion
 bounds are drawn as multiples of 0.01*T inside [0.1*T, 0.33*T] so the
 dt = min_bound/20 oracle grid resolves every window comfortably.
+
+`decimal_trace` and ``random_property(..., step=0.25)`` make the
+coincidence-heavy corpus: knots on the same 0.01*T grid as the bounds,
+values and thresholds on grids of their own, so crossings fall on samples
+or on decimal instants between them, where window ends often fall too,
+as on test benches with decimal edges.
 """
 
 import random
@@ -32,23 +38,30 @@ def random_trace(rng: random.Random, T: float = 1.0) -> Trace:
     return Trace(keep, sigs)
 
 
-def _porv(rng: random.Random, names) -> A.Porv:
+def decimal_trace(rng: random.Random, T: float = 1.0) -> Trace:
+    """Knots on a 0.01*T grid, the ends included, and values in steps of 0.5."""
+    ticks = sorted({0, 100, *rng.sample(range(1, 100), rng.randint(3, 12))})
+    names = [f"s{i}" for i in range(rng.randint(2, 3))]
+    return Trace([k * 0.01 * T for k in ticks], {n: [0.5 * rng.randint(-1, 3) for _ in ticks] for n in names})
+
+
+def _porv(rng: random.Random, names, step: float | None = None) -> A.Porv:
     name = rng.choice(names)
     scale = rng.choice([1.0, -1.0, 2.0])
-    thresh = rng.uniform(-0.5, 1.5)
+    thresh = rng.uniform(-0.5, 1.5) if step is None else step * rng.randint(-2, 6)
     expr = BinOp("-", BinOp("*", Const(scale), SignalRef(name)), Const(scale * thresh))
     return A.Porv(expr, rng.choice([">", ">="]))
 
 
-def _bexpr(rng: random.Random, names) -> A.BExpr:
+def _bexpr(rng: random.Random, names, step: float | None = None) -> A.BExpr:
     roll = rng.random()
     if roll < 0.55:
-        return _porv(rng, names)
+        return _porv(rng, names, step)
     if roll < 0.75:
-        return A.And((_porv(rng, names), _porv(rng, names)))
+        return A.And((_porv(rng, names, step), _porv(rng, names, step)))
     if roll < 0.9:
-        return A.Not(_porv(rng, names))
-    return A.EventAtom(_porv(rng, names), rng.choice(["pos", "neg"]))
+        return A.Not(_porv(rng, names, step))
+    return A.EventAtom(_porv(rng, names, step), rng.choice(["pos", "neg"]))
 
 
 def _bound(rng: random.Random, T: float) -> float:
@@ -63,22 +76,23 @@ def _window(rng: random.Random, T: float) -> tuple[float, float]:
     return a_units * 0.01 * T, b_units * 0.01 * T
 
 
-def _seq(rng: random.Random, names, T: float, depth: int) -> A.SeqExpr:
+def _seq(rng: random.Random, names, T: float, depth: int, step: float | None) -> A.SeqExpr:
     if depth <= 0 or rng.random() < 0.4:
-        return A.SeqBool(_bexpr(rng, names))
+        return A.SeqBool(_bexpr(rng, names, step))
     roll = rng.random()
     if roll < 0.4:
-        return A.Repeat(_seq(rng, names, T, 0), _bound(rng, T))
+        return A.Repeat(_seq(rng, names, T, 0, step), _bound(rng, T))
     if roll < 0.75:
         a, b = _window(rng, T)
-        return A.Delay(_seq(rng, names, T, depth - 1), a, b, _seq(rng, names, T, 0))
+        return A.Delay(_seq(rng, names, T, depth - 1, step), a, b, _seq(rng, names, T, 0, step))
     a, b = _window(rng, T)
-    return A.RepeatUntil(_seq(rng, names, T, 0), a, b, _seq(rng, names, T, 0))
+    return A.RepeatUntil(_seq(rng, names, T, 0, step), a, b, _seq(rng, names, T, 0, step))
 
 
-def random_property(rng: random.Random, names, T: float = 1.0) -> A.Property:
-    ante = _seq(rng, names, T, rng.randint(0, 2))
-    cons = _seq(rng, names, T, rng.randint(0, 1))
+def random_property(rng: random.Random, names, T: float = 1.0, step: float | None = None) -> A.Property:
+    """A random assertion; predicate thresholds are multiples of ``step`` when it is given."""
+    ante = _seq(rng, names, T, rng.randint(0, 2), step)
+    cons = _seq(rng, names, T, rng.randint(0, 1), step)
     delay = _window(rng, T) if rng.random() < 0.3 else None
     return validate(A.Property(ante, cons, delay, name="r"))
 

@@ -338,7 +338,7 @@ def test_bool_batch_runs_equal_sample_feed_bit_for_bit():
 
 def test_batch_atom_sets_equal_normalizing_their_runs():
     """`build_table` takes the truth runs of a whole trace as they are when
-    they pass the gap rule already: every atom set equals
+    they are normalized already: every atom set equals
     `IntervalSet.from_keys` of the same runs.  Samples lie on a grid of eps/4
     with ulp nudges, so runs and gaps of eps exactly and within an ulp of it,
     sub-eps slivers, closed points (``>=`` at a zero sample) and exact
@@ -364,13 +364,18 @@ def test_batch_atom_sets_equal_normalizing_their_runs():
             want = IntervalSet.from_keys(runs, eps).keys
             assert tab.get(base).keys == want, (t, x, d, base)
             # the least width of a run that is not a closed point, and the least gap
-            spread = min([hi - lo for lo, lo_open, hi, hi_closed in runs if lo_open or not hi_closed]
-                         + [n[0] - p[2] for p, n in zip(runs, runs[1:])], default=math.inf)
-            assert normal == (spread > eps), (t, x, d, base)
+            width = min([hi - lo for lo, lo_open, hi, hi_closed in runs if lo_open or not hi_closed], default=math.inf)
+            gap = min([n[0] - p[2] for p, n in zip(runs, runs[1:])], default=math.inf)
+            assert normal == (width > eps and gap > 0), (t, x, d, base)
             taken += normal
             renormalized += want != tuple(runs)
-            at_eps += spread == eps
+            at_eps += width == eps
     assert taken > 200 and renormalized > 200 and at_eps > 10, (taken, renormalized, at_eps)
+    # both crossings of a dip to -1e-300 round onto its sample: the two closed runs touch there and merge
+    ge = next(a for a in atoms if isinstance(a, A.Porv) and a.rel == ">=")
+    tr = Trace([0.0, 0.1, 0.2], {"x": [1.0, -1e-300, 1.0], "d": [1.0] * 3}, kinds={"x": "analog", "d": "boolean"})
+    assert trackers([ge], tr.kinds, eps)[ge].trace_runs(tr)[0] == [(0.0, False, 0.1, True), (0.1, False, 0.2, True)]
+    assert build_table(tr, prop, eps=eps).get(ge).keys == ((0.0, False, 0.2, True),)
 
 
 def test_endpoints_are_python_floats():

@@ -272,6 +272,22 @@ class TestByteOrderMark:
         assert "signals v" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, read", [
+    (["check", "t.csv", "p.txt"], True),
+    (["stream", "p.txt", "--signals", "x"], True),
+    (["oracle", "t.csv", "p.txt", "--dt", "0.1"], False),
+    (["codegen", "p.txt"], False),
+])
+def test_time_tol_only_where_it_is_read(argv, read, capsys):
+    """`check` and `stream` take --time-tol; `oracle` and `codegen` never read it and reject it."""
+    if read:
+        assert build_parser().parse_args([*argv, "--time-tol", "1e-6"]).time_tol == 1e-6
+    else:
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args([*argv, "--time-tol", "1e-6"])
+        assert e.value.code == 2 and "--time-tol" in capsys.readouterr().err
+
+
 class TestNumericOptions:
     """Tolerances must be finite and non-negative, steps and accuracies finite and
     positive: other values changed verdicts silently, or crashed."""
@@ -386,6 +402,19 @@ class TestStream:
         monkeypatch.setattr("sys.stdin", io.StringIO(f"0.0 0.0\n\n0.001 0.5\n{bad}\n0.003 1.2\n"))
         assert main(["stream", str(props), "--signals", "Vout"]) == 2
         assert capsys.readouterr().err == msg + "\n"
+
+    def test_match_next_to_a_window_start_is_not_vacuous(self, tmp_path, monkeypatch, capsys):
+        """A window that starts one ulp after the match at 0.005 keeps the
+        vacuous pieces on either side of it apart, in the rows and the summary."""
+        props = tmp_path / "p.txt"
+        props.write_text("p: @+{V(a)>=0.5} |-> ##[0.007:0.015] @-{V(a)>=0.5};\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n0.01 1\n0.02 0\n0.03 1\n0.04 0\n"))
+        assert main(["stream", str(props), "--signals", "a"]) == 0
+        *rows, last = map(json.loads, capsys.readouterr().out.splitlines())
+        vacuous = [[0.0, 0.005, True, False], [0.02 - 0.015, 0.025, False, False], [0.025, 0.04, False, True]]
+        assert [r["interval"] for r in rows if r["kind"] == "vacuous-end"] == vacuous
+        assert last["summary"] == {"p": {"match": [[0.005, 0.005, True, True], [0.025, 0.025, True, True]],
+                                         "vacuous-end": vacuous}}
 
     @pytest.mark.parametrize("names", [("p", "q")])
     def test_summary_is_the_union_of_the_verdicts(self, tmp_path, monkeypatch, capsys, names):

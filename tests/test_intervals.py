@@ -16,7 +16,7 @@ from amscheck import (
     set_intersect,
     set_union,
 )
-from amscheck.intervals import _contains, _live, _meet, _normalize, _shift, extend_in_order
+from amscheck.intervals import _live, _meet, _normalize, _shift, extend_in_order
 
 MS = 1e-3
 
@@ -205,11 +205,11 @@ PROBES = [k * 0.125 for k in range(-4, 85)]
 
 
 def normal_form(s: IntervalSet, eps: float = 1e-9) -> bool:
-    """Components non-empty and sorted, separated by more than eps or by an
+    """Components non-empty and sorted, separated by a positive gap or by an
     exact open/open puncture; the `Interval` views round-trip to the keys."""
     keys = s.keys
     ok = all(lo < hi or (lo == hi and not lo_open and hi_closed) for lo, lo_open, hi, hi_closed in keys)
-    ok = ok and all(y[0] > x[2] + eps or (y[0] == x[2] and not x[3] and y[1]) for x, y in zip(keys, keys[1:]))
+    ok = ok and all(y[0] > x[2] or (y[0] == x[2] and not x[3] and y[1]) for x, y in zip(keys, keys[1:]))
     return ok and tuple(iv.key for iv in s.items) == keys and IntervalSet(s.items) == s
 
 
@@ -281,10 +281,9 @@ def test_algebraic_laws_randomized():
 
 
 def test_extend_in_order_equals_normalizing_all_pieces_at_once():
-    """Time-ordered pieces added in chunks give the normalization of all of
-    them: sub-eps slivers, closed and open points, touches within eps and
-    exact open/open touches included.  Added one at a time in any order, they
-    give a normalized set that holds every piece, with no new endpoint."""
+    """Pieces added in chunks in time order, or one at a time in any order,
+    give the normalization of all of them: sub-eps slivers, closed and open
+    points, gaps under eps and exact open/open touches included."""
     rng = random.Random(8080)
     eps = 1e-3
     punctures = slivers = 0
@@ -307,20 +306,16 @@ def test_extend_in_order_equals_normalizing_all_pieces_at_once():
         held = []
         for key in rng.sample(keys, len(keys)):
             extend_in_order(held, [key], eps)
-        got = IntervalSet.from_keys(held, eps)
-        assert got.keys == tuple(held)
-        for k in (k for k in keys if IntervalSet.from_keys([k], eps)):  # normalization drops sub-eps slivers
-            assert all(got.contains(t) for t in (k[0], 0.5 * (k[0] + k[2]), k[2]) if _contains(k, t)), (keys, k)
-        assert {x for k in held for x in k[::2]} <= {x for k in keys for x in k[::2]}
+        assert tuple(held) == want, keys
         punctures += sum(x[2] == y[0] for x, y in zip(want, want[1:]))
         slivers += sum(0 < k[2] - k[0] <= eps for k in keys)
     assert punctures > 50 and slivers > 500
 
 
 def test_complement_of_a_component_near_eps_wide_is_disjoint_and_covers():
-    """One gap rule: a component that survives normalization as wider than
-    eps also keeps the two pieces of its complement apart, whatever the
-    rounding of ``lo + eps`` at the component's magnitude."""
+    """A component kept by normalization, wider than eps or a closed sliver,
+    keeps the two pieces of its complement apart, whatever the rounding of
+    ``lo + eps`` at the component's magnitude."""
     eps = 1e-9
     cases = 0
     for mag in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
@@ -331,8 +326,6 @@ def test_complement_of_a_component_near_eps_wide_is_disjoint_and_covers():
         for _ in range(9):
             for lc in (True, False):
                 for hc in (True, False):
-                    if lc and hc and hi - mag <= eps:
-                        continue  # a closed sliver survives at any width; see CHANGES.md
                     a = S((mag, hi, lc, hc))
                     comp = set_complement(a, domain)
                     probes = (-0.5, mag, 0.5 * (mag + hi), hi, math.nextafter(mag, -1.0), math.nextafter(hi, 2.0 * mag))
@@ -343,6 +336,19 @@ def test_complement_of_a_component_near_eps_wide_is_disjoint_and_covers():
             hi = math.nextafter(hi, math.inf)
     assert cases > 150
     assert set_complement(S((1.0, 1.0 + 1e-9)), I(0.0, 2.0)) == S((0.0, 1.0, True, False), (1.0 + 1e-9, 2.0, False, True))
+    # a closed sliver keeps them apart too
+    assert set_complement(S((1.0, 1.0 + 5e-10)), I(0.0, 2.0)) == S((0.0, 1.0, True, False), (1.0 + 5e-10, 2.0, False, True))
+
+
+def test_intersect_keeps_punctures_less_than_eps_apart():
+    """Two punctures, one in each operand, closer than eps: the open sliver
+    between them drops and its neighbours stay apart, so neither puncture
+    is filled."""
+    q = 5.0 - 5e-10
+    a = S((0.0, 5.0, True, False), (5.0, 10.0, False, True))
+    b = S((0.0, q, True, False), (q, 10.0, False, True))
+    want = ((0.0, False, q, False), (5.0, True, 10.0, True))
+    assert set_intersect(a, b).keys == set_intersect(b, a).keys == want
 
 
 def grid_set(rng: random.Random, eps: float, n: int = 12, norm: float | None = None) -> IntervalSet:
@@ -366,11 +372,10 @@ def grid_set(rng: random.Random, eps: float, n: int = 12, norm: float | None = N
 
 def test_intersect_and_complement_equal_normalizing_their_pieces():
     """`set_intersect` and `set_complement` skip the sort and merge: on
-    normalized operands they equal `_normalize` of every raw piece, also
-    where that normalization does more than drop empties and slivers."""
+    normalized operands they equal `_normalize` of every raw piece, which
+    drops the empty and sub-eps pieces and merges none."""
     rng = random.Random(1717)
     eps = 2.0 ** -20  # grid sums are exact, so gaps of eps exactly occur
-    merged = {"intersect": 0, "complement": 0}
     exact = 0
     for _ in range(3000):
         a = grid_set(rng, eps)
@@ -378,8 +383,7 @@ def test_intersect_and_complement_equal_normalizing_their_pieces():
         b = rng.choice([grid_set(rng, eps), _shift(a, *[rng.choice([-4, -1, 1, 3, 4, 5]) * eps / 4] * 2, eps)])
         raw = [_meet(x, y) for x in a.keys for y in b.keys]
         want = _normalize(raw, eps)
-        assert set_intersect(a, b, eps).keys == want, (a.keys, b.keys)
-        merged["intersect"] += want != tuple(_live(raw, eps))
+        assert set_intersect(a, b, eps).keys == want == tuple(_live(raw, eps)), (a.keys, b.keys)
         exact += sum(k[2] - k[0] == eps and (k[1] or not k[3]) for k in raw)
         # one component against many, as a window or the domain is: cut from b, or from big's own ends
         big = grid_set(rng, eps, 40)
@@ -395,32 +399,35 @@ def test_intersect_and_complement_equal_normalizing_their_pieces():
         cuts = [(0.0, False, domain.lo, not domain.lo_closed), *a.keys, (domain.hi, domain.hi_closed, 0.0, False)]
         raw = [(p[2], p[3], n[0], n[1]) for p, n in zip(cuts, cuts[1:])]
         want = _normalize(raw, eps)
-        assert set_complement(a, domain, eps).keys == want, (a.keys, domain)
-        merged["complement"] += want != tuple(_live(raw, eps))
+        assert set_complement(a, domain, eps).keys == want == tuple(_live(raw, eps)), (a.keys, domain)
         exact += sum(k[2] - k[0] == eps for k in a.keys)
-    assert min(merged.values()) >= 10 and exact >= 50, (merged, exact)
+    assert exact >= 50, exact
 
 
-def test_operands_normalized_with_a_smaller_eps_are_normalized_in_full():
+def test_operands_normalized_with_a_smaller_eps_keep_gaps_and_drop_slivers():
     """Operands normalized with a smaller eps than the call's can hold gaps
-    and components that the call's eps merges or drops: `set_intersect` and
-    `set_complement` then equal `_normalize` of their raw pieces too."""
+    and components no wider than the call's eps: the gaps stay, the slivers
+    drop, and `set_intersect`, also of one component against many, and
+    `set_complement` equal `_normalize` of their raw pieces."""
     a = IntervalSet([I(0.0, 1.0), I(1.0005, 2.0)])
-    assert set_intersect(a, S((0.0, 2.0)), 1e-3) == set_intersect(S((0.0, 2.0)), a, 1e-3) == S((0.0, 2.0))
+    assert set_intersect(a, S((0.0, 2.0)), 1e-3) == set_intersect(S((0.0, 2.0)), a, 1e-3) == a
     b = S((0.0, 1.0), (1.5, 1.5005, False, False), (2.0, 3.0))
-    assert set_complement(b, I(0.0, 3.0), 1e-3) == S((1.0, 2.0, False, False))
+    assert set_intersect(b, S((0.0, 3.0)), 1e-3) == S((0.0, 1.0), (2.0, 3.0))
+    assert set_complement(b, I(0.0, 3.0), 1e-3) == S((1.0, 1.5, False, True), (1.5005, 2.0, True, False))
     rng = random.Random(2929)
     eps = 2.0 ** -20
-    merged = 0
     for _ in range(1000):
         a, b = grid_set(rng, eps, norm=eps / 8), grid_set(rng, eps, norm=eps / 8)
         raw = [_meet(x, y) for x in a.keys for y in b.keys]
         want = _normalize(raw, eps)
         assert set_intersect(a, b, eps).keys == want, (a.keys, b.keys)
-        merged += want != tuple(_live(raw, eps))
         ends = [k[i] for k in a.keys for i in (0, 2)] or [0.0]
         domain = I(min(ends), max(ends))
         cuts = [(0.0, False, domain.lo, False), *a.keys, (domain.hi, True, 0.0, False)]
         want = _normalize([(p[2], p[3], n[0], n[1]) for p, n in zip(cuts, cuts[1:])], eps)
         assert set_complement(a, domain, eps).keys == want, (a.keys, domain)
-    assert merged >= 30, merged
+        # one component against many, whose slivers the bisecting path would pass through
+        big = grid_set(rng, eps, 40, norm=eps / 8)
+        x = (big.keys[0][0], False, big.keys[-1][2], True) if big else (0.0, False, 1.0, True)
+        want = _normalize([_meet(k, x) for k in big.keys], eps)
+        assert set_intersect(big, IntervalSet.from_keys([x], eps), eps).keys == want, big.keys

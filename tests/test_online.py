@@ -3,11 +3,11 @@
 import math
 import random
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
-from _corpus import random_property
+from _corpus import decimal_trace, random_property
 from amscheck import (
     Interval,
     IntervalSet,
@@ -474,3 +474,30 @@ class TestAntecedentFirst:
         p = parse_property("{V(x)>1e9}" + self.CONS)
         rep = assertion_match(p, build_table(self.trace(), p))
         assert calls == [] and rep.fail.is_empty
+
+
+FIVE_SAMPLES = (Trace([0.0, 0.01, 0.02, 0.03, 0.04], {"a": [0.0, 1.0, 0.0, 1.0, 0.0]}),
+                parse_property("@+{V(a)>=0.5} |-> ##[0.007:0.015] @-{V(a)>=0.5};", name="p"))
+
+
+def decimal_cases(n, seed=2121):
+    rng = random.Random(seed)
+    for _ in range(n):
+        tr = decimal_trace(rng)
+        yield tr, random_property(rng, list(tr.signals), step=0.25)
+
+
+@pytest.mark.parametrize("cases", [lambda: [FIVE_SAMPLES], lambda: decimal_cases(300)], ids=["five-samples", "decimal"])
+def test_streamed_kinds_are_disjoint(cases):
+    """Fed sample by sample, a stream gives each instant one kind at most,
+    also where crossings, samples and window ends coincide.  In the five
+    samples a window starts one ulp after the match at 0.005, and the
+    vacuous pieces on either side of it stay apart."""
+    for tr, p in cases():
+        sess = Session([p], tr.kinds)
+        kinds = {}
+        for v in stream(sess, tr) + sess.finalize():
+            kinds.setdefault(v.kind, []).append(v.interval.key)
+        for (k1, a), (k2, b) in combinations(kinds.items(), 2):
+            both = set_intersect(IntervalSet.from_keys(a), IntervalSet.from_keys(b), 0.0)  # no sliver dropped
+            assert both.is_empty, (k1, k2, both, tr.times().tolist(), pretty(p))
