@@ -1,88 +1,78 @@
 """Property AST: predicates, events, Boolean and sequence expressions.
 
-Nodes are frozen dataclasses so structurally identical atoms compare
-and hash equal; `collect_atoms` relies on that for deduplication.
+Nodes are immutable `expr.Node` values, so structurally identical atoms
+compare and hash equal; `collect_atoms` relies on that for deduplication.
+A node's source position ``pos``, ``(line, col)`` or None, takes no
+part in comparison.
 Relational sugar is resolved by the parser: every predicate arrives
 here as ``expr > 0`` or ``expr >= 0``, possibly under a negation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
-from .expr import Expr, format_number, render_expr
+from .expr import Node, format_number, render_expr
 
 
-def _node(cls):
-    """A frozen dataclass that keeps its structural hash after first use, as memo
-    lookups are hot; pickles leave it out, since str hashes differ between processes."""
-    cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
+class _TreeNode(Node):
+    """A node that keeps its hash after first use, as memo lookups are hot;
+    pickles leave it out, since str hashes differ between processes."""
+
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = structural(self)
-        return self.__dict__["_hash"]
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = lambda self: {k: v for k, v in self.__dict__.items() if k != "_hash"}
-    return cls
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", Node.__hash__(self))
+            return self._hash
 
 
 # ---------------------------------------------------------------------------
 # Boolean layer
 
 
-@_node
-class Porv:
+class Porv(_TreeNode):
     """Predicate over real variables: expr > 0 or expr >= 0."""
 
-    expr: Expr
-    rel: str  # '>' or '>='
+    __slots__ = ("expr", "rel")  # rel: '>' or '>='
 
     def __str__(self) -> str:
         return _pretty_bexpr(self)
 
 
-@_node
-class BoolSignal:
+class BoolSignal(_TreeNode):
     """A digital signal used as a proposition (true when it holds 1)."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return _pretty_bexpr(self)
 
 
-@_node
-class EventAtom:
+class EventAtom(_TreeNode):
     """Edge of a predicate's truth: pos (@+), neg (@-) or any (@)."""
 
-    pred: Union[Porv, BoolSignal]
-    edge: str  # 'pos' | 'neg' | 'any'
+    __slots__ = ("pred", "edge")  # pred: Porv or BoolSignal; edge: 'pos' | 'neg' | 'any'
 
     def __str__(self) -> str:
         return _pretty_bexpr(self)
 
 
-@_node
-class Not:
-    operand: "BExpr"
+class Not(_TreeNode):
+    __slots__ = ("operand",)
 
 
-@_node
-class And:
+class And(_TreeNode):
     """Conjunction of predicates, optionally including one event."""
 
-    terms: tuple["BExpr", ...]
+    __slots__ = ("terms",)  # a tuple
 
 
-@_node
-class Or:
-    left: "BExpr"
-    right: "BExpr"
+class Or(_TreeNode):
+    __slots__ = ("left", "right")
 
 
 BExpr = Union[Porv, BoolSignal, EventAtom, Not, And, Or]
@@ -92,55 +82,40 @@ BExpr = Union[Porv, BoolSignal, EventAtom, Not, And, Or]
 # Sequence layer
 
 
-@_node
-class SeqBool:
+class SeqBool(_TreeNode):
     """A Boolean expression used as an instantaneous sequence."""
 
-    bexpr: BExpr
+    __slots__ = ("bexpr",)
 
 
-@_node
-class Repeat:
+class Repeat(_TreeNode):
     """{seq}[*dur]: seq holds continuously for the trailing ``dur`` seconds."""
 
-    seq: "SeqExpr"
-    dur: float
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("seq", "dur", "pos")
 
 
-@_node
-class RepeatUntil:
+class RepeatUntil(_TreeNode):
     """{seq}[*lo:hi] cont: recurrence of ``seq`` handing over to ``cont``."""
 
-    seq: "SeqExpr"
-    lo: float
-    hi: float
-    cont: "SeqExpr"
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("seq", "lo", "hi", "cont", "pos")
 
 
-@_node
-class Delay:
+class Delay(_TreeNode):
     """left ##[lo:hi] right: right's match ends lo..hi after left's."""
 
-    left: "SeqExpr"
-    lo: float
-    hi: float
-    right: "SeqExpr"
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("left", "lo", "hi", "right", "pos")
 
 
 SeqExpr = Union[SeqBool, Repeat, RepeatUntil, Delay]
 
 
-@_node
-class Property:
-    """antecedent |-> consequent, with an optional leading delay window."""
+class Property(_TreeNode):
+    """antecedent |-> consequent, with an optional leading delay window ``(lo, hi)``;
+    the ``name`` takes no part in comparison."""
 
-    antecedent: SeqExpr
-    consequent: SeqExpr
-    delay: Optional[tuple[float, float]] = None
-    name: str = field(default="", compare=False)
+    __slots__ = ("antecedent", "consequent", "delay", "name")
+    _defaults = {"delay": None, "name": ""}
+    _uncompared = ("name",)
 
 
 Atom = Union[Porv, BoolSignal, EventAtom]

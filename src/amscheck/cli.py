@@ -15,7 +15,6 @@ commands that use them, so stream and codegen never load numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -209,15 +208,8 @@ def cmd_codegen(args) -> int:
     from .codegen import CodegenConfig, generate_monitors
 
     props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
-    cfg = CodegenConfig(
-        time_acc=args.time_acc,
-        value_acc=args.value_acc,
-        module_name=args.module_name,
-        wrap_module=args.module,
-    )
-    text = "\n".join(
-        generate_monitors(p, dataclasses.replace(cfg, assertion_id=args.id + i)) for i, p in enumerate(props)
-    )
+    opts = dict(time_acc=args.time_acc, value_acc=args.value_acc, module_name=args.module_name, wrap_module=args.module)
+    text = "\n".join(generate_monitors(p, CodegenConfig(assertion_id=args.id + i, **opts)) for i, p in enumerate(props))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

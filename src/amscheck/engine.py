@@ -24,10 +24,9 @@ about to decide, over its retained sub-domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
 from .atoms import AtomTable
+from .expr import Node
 from .intervals import (
     Interval,
     IntervalSet,
@@ -106,17 +105,15 @@ class _Evaluator:
         raise TypeError(f"not a sequence expression: {type(s).__name__}")
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    """Verdict partition of the trace domain, or of one window of it, for one assertion."""
+class MatchReport(Node):
+    """Verdict partition of the trace domain, or of one window of it, for one assertion:
+    four `IntervalSet`s over the `Interval` ``domain``."""
 
-    name: str
-    domain: Interval
-    nonvacuous: IntervalSet
-    vacuous: IntervalSet
-    fail: IntervalSet
-    undetermined: IntervalSet
-    horizon: float
+    __slots__ = ("name", "domain", "nonvacuous", "vacuous", "fail", "undetermined", "horizon")
+
+    def __init__(self, name, domain, nonvacuous, vacuous, fail, undetermined, horizon):
+        for put, v in zip(self._setters, (name, domain, nonvacuous, vacuous, fail, undetermined, horizon)):
+            put(self, v)
 
     def status_at(self, t: float) -> str:
         if self.nonvacuous.contains(t):

@@ -9,32 +9,80 @@ functions here are folds with their own rule per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Node:
+    """An immutable value: the base of the syntax-tree nodes and the checker's records.
+
+    A subclass lists its fields in ``__slots__``; they are given by position
+    or name, and ``_defaults`` fills those left out.  Two instances are
+    equal when they are of one class and their fields outside
+    ``_uncompared`` are equal, and the hash is that of the tuple of those
+    fields.  A pickle holds the fields alone.
+    """
+
+    __slots__ = ()
+    _defaults = {"pos": None}
+    _uncompared = ("pos",)
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = tuple(f for f in cls.__slots__ if f not in cls._uncompared)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            try:
+                args += tuple(kwargs[f] if f in kwargs else self._defaults[f] for f in rest)
+            except KeyError as e:
+                raise TypeError(f"{type(self).__name__} needs its field {e.args[0]}") from None
+        for put, v in zip(self._setters, args):
+            put(self, v)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "pos")
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class SignalRef:
+class Const(Node):
+    __slots__ = ("value",)
+
+
+class SignalRef(Node):
     """The value of an analog signal, written ``V(name)``."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class BinOp(Node):
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(Node):
+    __slots__ = ("operand",)
 
 
 Expr = Union[Const, SignalRef, BinOp, Neg]

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InvalidDelayError
+from .expr import Node
 
 #: Default sliver-width and endpoint comparison tolerance, in seconds.
 TIME_TOL = 1e-9
@@ -59,8 +59,7 @@ TIME_TOL = 1e-9
 Key = tuple[float, bool, float, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Node):
     """A convex subset of the real line with open/closed endpoints.
 
     Any constructor input describing an empty set (lo > hi, or a
@@ -68,19 +67,24 @@ class Interval:
     emptiness never needs special-casing downstream.
     """
 
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if self.lo > self.hi or (
-            self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-        ):
-            object.__setattr__(self, "lo", math.inf)
-            object.__setattr__(self, "hi", -math.inf)
-            object.__setattr__(self, "lo_closed", False)
-            object.__setattr__(self, "hi_closed", False)
+    def __init__(self, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True):
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            lo, hi, lo_closed, hi_closed = math.inf, -math.inf, False, False
+        put_lo, put_hi, put_lo_closed, put_hi_closed = self._setters
+        put_lo(self, lo)
+        put_hi(self, hi)
+        put_lo_closed(self, lo_closed)
+        put_hi_closed(self, hi_closed)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi, self.lo_closed, self.hi_closed) == (
+            other.lo, other.hi, other.lo_closed, other.hi_closed)
+
+    __hash__ = Node.__hash__
 
     @classmethod
     def from_key(cls, k: Key) -> "Interval":

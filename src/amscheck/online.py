@@ -37,28 +37,21 @@ number of vacuous components, not with the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import ast
 from .atoms import KINDS, AtomTable, trackers
 from .engine import _Evaluator, classify
 from .errors import ProtocolError
+from .expr import Node
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, extend_in_order, set_intersect
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    name: str
-    kind: str  # match | vacuous-end | fail | undetermined
-    interval: Interval
-    decided_at: float
+class Verdict(Node):
+    __slots__ = ("name", "kind", "interval", "decided_at")  # kind: match | vacuous-end | fail | undetermined
 
 
-@dataclass(frozen=True, slots=True)
-class Obligation:
-    name: str
-    component: Interval
-    deadline: float
+class Obligation(Node):
+    __slots__ = ("name", "component", "deadline")
 
 
 class _PropState:

@@ -30,11 +30,10 @@ and carriage returns only separate tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import ast
 from .errors import ParseError, UnsupportedFeatureError
-from .expr import BinOp, Const, Expr, Neg, SignalRef, iter_expr
+from .expr import BinOp, Const, Expr, Neg, Node, SignalRef, iter_expr
 
 #: Half-width of the band an analog equality comparison expands into.
 VALUE_TOL = 1e-6
@@ -48,19 +47,21 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class _Tok:
-    kind: str  # 'num', 'id', or the symbol text itself
-    text: str
-    line: int
-    col: int
+class _Tok(Node):
+    __slots__ = ("kind", "text", "line", "col")  # kind: 'num', 'id', or the symbol text itself
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        put_kind, put_text, put_line, put_col = self._setters
+        put_kind(self, kind)
+        put_text(self, text)
+        put_line(self, line)
+        put_col(self, col)
 
 
-@dataclass(frozen=True)
-class _BoolRef:
+class _BoolRef(Node):
     """Parser-internal marker for a bare identifier in expression position."""
 
-    name: str
+    __slots__ = ("name",)
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -92,8 +93,8 @@ class _Parser:
         return self.toks[i] if i < len(self.toks) else None
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.kind == kind
+        i = self.pos + ahead
+        return i < len(self.toks) and self.toks[i].kind == kind
 
     def at_kw(self, word: str, ahead: int = 0) -> bool:
         t = self.peek(ahead)
@@ -308,10 +309,10 @@ class _Parser:
                 b = self.number()
                 self.expect("]")
                 cont = self.unit()
-                node = ast.RepeatUntil(node, a, b, cont, pos=(tok.line, tok.col))
+                node = ast.RepeatUntil(node, a, b, cont, (tok.line, tok.col))
             else:
                 self.expect("]")
-                node = ast.Repeat(node, a, pos=(tok.line, tok.col))
+                node = ast.Repeat(node, a, (tok.line, tok.col))
         return node
 
     def seq(self) -> ast.SeqExpr:
@@ -319,7 +320,7 @@ class _Parser:
         while self.at("##"):
             self.take()
             a, b, pos = self.bounds()
-            node = ast.Delay(node, a, b, self.unit(), pos=pos)
+            node = ast.Delay(node, a, b, self.unit(), pos)
         return node
 
     def property_body(self, name: str) -> ast.Property:
@@ -331,7 +332,7 @@ class _Parser:
             a, b, _ = self.bounds()
             delay = (a, b)
         cons = self.seq()
-        return ast.Property(ante, cons, delay, name=name)
+        return ast.Property(ante, cons, delay, name)
 
     # -- file level -----------------------------------------------------
 

@@ -14,10 +14,13 @@ from amscheck.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_python(code: str, *args: str) -> object:
-    """Run ``code`` in a new interpreter on this checkout's source and
-    return the JSON value it prints."""
+def fresh_python(code: str, *args: str, hash_seed: str | None = None) -> object:
+    """Run ``code`` in a new interpreter on this checkout's source, with
+    ``PYTHONHASHSEED`` set to ``hash_seed`` when given, and return the JSON
+    value it prints."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
@@ -41,8 +44,9 @@ print(json.dumps([undir, [n for n in amscheck.__all__ if n not in globals()]]))
 
 def test_parse_and_session_load_no_numpy():
     """Parsing the stream workload's assertion and streaming it through a
-    `Session` load neither numpy nor the batch and reference modules; the
-    first access to `load_csv` loads the trace module."""
+    `Session` load neither numpy, nor the batch and reference modules, nor
+    `dataclasses` and the `inspect` it imports; the first access to
+    `load_csv` loads the trace module."""
     props = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["STREAM_PROPS"]
     code = """
 import json, math, sys
@@ -61,7 +65,7 @@ amscheck.load_csv
 print(json.dumps([verdicts, pending, loaded, "amscheck.trace" in sys.modules]))
 """
     batch = ["numpy", "amscheck.trace", "amscheck.oracle", "amscheck.wavegen", "amscheck.codegen", "amscheck.clocked",
-             "amscheck.cli"]
+             "amscheck.cli", "dataclasses", "inspect"]
     verdicts, pending, loaded, trace_loaded = fresh_python(code, props, json.dumps(batch))
     assert verdicts > 0 and pending > 0
     assert loaded == []
@@ -69,8 +73,9 @@ print(json.dumps([verdicts, pending, loaded, "amscheck.trace" in sys.modules]))
 
 
 def test_cli_loads_numpy_only_to_read_a_trace(tmp_path):
-    """`amscheck stream` and `amscheck codegen` run without numpy; the
-    `load_csv` that `amscheck.cli` binds loads the trace module on its first call."""
+    """`amscheck stream` and `amscheck codegen` run without numpy, and
+    `stream` without `dataclasses` or `inspect`; the `load_csv` that
+    `amscheck.cli` binds loads the trace module on its first call."""
     props = tmp_path / "p.txt"
     props.write_text("a: {V(x)>0.5} |-> ##[0:1] {V(x)<2};\n")
     csv = tmp_path / "t.csv"
@@ -81,12 +86,33 @@ import amscheck.cli as cli
 props, csv = sys.argv[1:]
 sys.stdin = io.StringIO("0 0\\n1 1\\n2 3\\n")
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    codes = [cli.main(["stream", props, "--signals", "x"]), cli.main(["codegen", props])]
+    codes = [cli.main(["stream", props, "--signals", "x"])]
+    streamed = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+    codes.append(cli.main(["codegen", props]))
 loaded = [m for m in ("numpy", "amscheck.trace") if m in sys.modules]
 rows = len(cli.load_csv(csv).times())
-print(json.dumps([codes, out.getvalue().count("summary"), loaded, rows, "amscheck.trace" in sys.modules]))
+print(json.dumps([codes, out.getvalue().count("summary"), streamed, loaded, rows, "amscheck.trace" in sys.modules]))
 """
-    assert fresh_python(code, str(props), str(csv)) == [[0, 0], 1, [], 3, True]
+    assert fresh_python(code, str(props), str(csv)) == [[0, 0], 1, [], [], 3, True]
+
+
+def test_pickles_hash_as_fresh_values_under_another_hash_seed():
+    """A pickle leaves out the cached hash: a parsed `Property`, a `Verdict`
+    and an `Interval`, each hashed before pickling, compare and hash equal to
+    freshly built ones in an interpreter with another str hash seed."""
+    build = """
+import json, pickle, sys
+import amscheck
+(p,) = amscheck.parse_file("p: {V(x)>0.5} |-> ##[0:1] {V(x)<2};")
+s = amscheck.Session([p], ["x"])
+v = (s.feed(0.0, [1.0]) + s.feed(1.0, [1.0]) + s.finalize())[0]
+values = [p, v, amscheck.Interval(0.0, 1.0, False, True)]
+"""
+    blob = fresh_python(build + "[hash(x) for x in values]\nprint(json.dumps(pickle.dumps(values).hex()))",
+                        hash_seed="0")
+    load = "old = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+    load += "print(json.dumps([[a == b, hash(a) == hash(b)] for a, b in zip(old, values)]))"
+    assert fresh_python(build + load, blob, hash_seed="1") == [[True, True]] * 3
 
 
 def test_time_tol_default_is_library_tolerance():
@@ -141,15 +167,17 @@ def test_benchmark_setup_probe_builds_the_stream_session(tmp_path):
 
 def test_equivalence_fingerprint_smoke():
     """`tests/_fingerprint.py --tiny` prints one SHA-256 digest per output family,
-    the same in a fresh interpreter as in this one."""
+    the same in fresh interpreters under two str hash seeds as in this one, so
+    `check --report` bytes and `stream` output do not depend on the hash seed."""
     import _fingerprint
 
     here = Path(__file__).resolve().parent
-    env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
-    run = subprocess.run([sys.executable, str(here / "_fingerprint.py"), "--tiny"], capture_output=True, text=True,
-                         env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    digests = json.loads(run.stdout)
-    assert sorted(digests) == ["check", "codegen", "match", "oracle", "session", "stream"]
-    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
-    assert _fingerprint.fingerprint(_fingerprint.TINY) == digests
+    want = _fingerprint.fingerprint(_fingerprint.TINY)
+    assert sorted(want) == ["check", "codegen", "match", "oracle", "session", "stream"]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in want.values())
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(here.parent / "src"), "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, str(here / "_fingerprint.py"), "--tiny"], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == want, seed

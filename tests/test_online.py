@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from itertools import accumulate, combinations
 
 import pytest
@@ -11,6 +10,7 @@ from _corpus import decimal_trace, random_property
 from amscheck import (
     Interval,
     IntervalSet,
+    Property,
     ProtocolError,
     Session,
     Trace,
@@ -339,7 +339,8 @@ class TestLongStream:
         """Two assertions per session, so the cut follows the slower one."""
         rng = random.Random(9001)
         for case in range(8):
-            props = [replace(random_property(rng, self.NAMES), name=f"r{j}") for j in range(2)]
+            drawn = [random_property(rng, self.NAMES) for _ in range(2)]
+            props = [Property(p.antecedent, p.consequent, p.delay, f"r{j}") for j, p in enumerate(drawn)]
             longest = max(lookback(p) for p in props)
             # knots average 0.075 s apart: size the trace to 20 lookbacks
             tr = tiled_trace(rng, self.NAMES, 40 + int(20 * longest / 0.075), 1)

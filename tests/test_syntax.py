@@ -1,16 +1,16 @@
-"""The lexer, syntax-tree traversal and the pretty-printer round trip."""
+"""The lexer, the value classes, syntax-tree traversal and the pretty-printer round trip."""
 
-import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import random_property
 from _lex_reference import reference_lex
 from amscheck import ast as A
-from amscheck import ParseError, generate_monitors, parse_file, parse_property, pretty
-from amscheck.expr import BinOp, Const, Neg, SignalRef, expr_signals, format_number, iter_expr
+from amscheck import Interval, ParseError, Verdict, generate_monitors, parse_file, parse_property, pretty
+from amscheck.expr import BinOp, Const, Neg, Node, SignalRef, expr_signals, format_number, iter_expr
 from amscheck.parser import _lex
 
 FIXTURE_PROPS = """\
@@ -25,10 +25,10 @@ def reference_nodes(node):
     yield node
     if isinstance(node, A.ATOMS):
         return
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for field in type(node).__slots__:
+        value = getattr(node, field)
         for item in value if isinstance(value, tuple) else (value,):
-            if dataclasses.is_dataclass(item) and type(item).__module__ == A.__name__:
+            if isinstance(item, Node) and type(item).__module__ == A.__name__:
                 yield from reference_nodes(item)
 
 
@@ -49,7 +49,7 @@ class TestIterNodes:
     def test_samples_cover_every_node_type(self):
         """A new node type must show up here, so the walker comparison sees it."""
         classes = [c for c in vars(A).values() if isinstance(c, type)]
-        node_types = {c for c in classes if dataclasses.is_dataclass(c) and c.__module__ == A.__name__}
+        node_types = {c for c in classes if issubclass(c, Node) and c.__module__ == A.__name__} - {A._TreeNode}
         seen = {type(n) for p in sample_properties() for n in A.iter_nodes(p)}
         assert seen == node_types
 
@@ -61,6 +61,37 @@ class TestIterNodes:
     def test_collect_atoms_first_occurrence_order(self):
         p = parse_property("{V(a)>0 && V(b)>0} |-> {V(b)>0 && V(a)>0 && @+{V(a)>0}};")
         assert [str(a) for a in A.collect_atoms(p)] == ["V(a) > 0", "V(b) > 0", "@+{V(a) > 0}"]
+
+
+class TestNode:
+    """The field rules that the syntax tree and the checker's records share."""
+
+    def test_compare_hash_and_repr_by_class_and_compared_fields(self):
+        seq = A.SeqBool(A.BoolSignal("p"))
+        a, b = A.Repeat(seq, 1.0, (1, 2)), A.Repeat(seq=seq, dur=1.0)
+        assert a == b and hash(a) == hash(b) and b.pos is None  # pos takes no part
+        assert repr(a) == "Repeat(seq=SeqBool(bexpr=BoolSignal(name='p')), dur=1.0)"
+        p, q = A.Property(seq, seq, name="p"), A.Property(seq, seq, None, "q")
+        assert p == q and hash(p) == hash(q) and p.delay is None  # nor does a property's name
+        assert SignalRef("x") != A.BoolSignal("x") and Const(1.0) != Const(2.0)
+        assert Interval(2.0, 1.0) == Interval(0.0, 0.0, False) and Interval(0.0, 1.0) != Interval(0.0, 1.0, False)
+        assert repr(Interval(0.0, 1.0, False)) == "Interval(lo=0.0, hi=1.0, lo_closed=False, hi_closed=True)"
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        iv = Interval(0.0, 1.0)
+        for obj, field in ((A.BoolSignal("p"), "name"), (iv, "lo"), (Verdict("p", "match", iv, 1.0), "kind")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        assert iv.lo == 0.0
+
+    def test_constructor_rejects_missing_repeated_or_unknown_fields(self):
+        seq = A.SeqBool(A.BoolSignal("p"))
+        for args, kwargs in (((seq,), {}), ((seq, 1.0), {"dur": 2.0}), ((seq, 1.0), {"durr": 2.0}),
+                             ((seq, 1.0, None, None), {})):
+            with pytest.raises(TypeError):
+                A.Repeat(*args, **kwargs)
 
 
 class TestIterExpr:
