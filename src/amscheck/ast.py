@@ -39,26 +39,17 @@ class Porv(_TreeNode):
 
     __slots__ = ("expr", "rel")  # rel: '>' or '>='
 
-    def __str__(self) -> str:
-        return _pretty_bexpr(self)
-
 
 class BoolSignal(_TreeNode):
     """A digital signal used as a proposition (true when it holds 1)."""
 
     __slots__ = ("name",)
 
-    def __str__(self) -> str:
-        return _pretty_bexpr(self)
-
 
 class EventAtom(_TreeNode):
     """Edge of a predicate's truth: pos (@+), neg (@-) or any (@)."""
 
     __slots__ = ("pred", "edge")  # pred: Porv or BoolSignal; edge: 'pos' | 'neg' | 'any'
-
-    def __str__(self) -> str:
-        return _pretty_bexpr(self)
 
 
 class Not(_TreeNode):
@@ -194,9 +185,7 @@ def _check_node(n) -> None:
             raise UnsupportedFeatureError("at most one event per conjunct")
     elif isinstance(n, Repeat):
         if n.dur <= 0:
-            raise RecurrenceError(
-                f"recurrence [*{n.dur:g}] needs a positive duration{_fmt_pos(n.pos)}"
-            )
+            raise RecurrenceError(f"recurrence [*{n.dur:g}] needs a positive duration{_fmt_pos(n.pos)}")
     elif isinstance(n, (RepeatUntil, Delay)):
         if n.lo < 0 or n.hi < n.lo:
             raise BoundError(f"bounds [{n.lo:g}:{n.hi:g}] need 0 <= a <= b{_fmt_pos(n.pos)}")
@@ -241,6 +230,9 @@ def _pretty_bexpr(b: BExpr, top: bool = False) -> str:
         s = f"{_pretty_bexpr(b.left, top)} OR {_pretty_bexpr(b.right, top)}"
         return s if top else f"({s})"
     raise TypeError(f"not a Boolean expression: {b!r}")
+
+
+Porv.__str__ = BoolSignal.__str__ = EventAtom.__str__ = _pretty_bexpr  # an atom prints as its source
 
 
 def _braced_seq(s: SeqExpr) -> str:

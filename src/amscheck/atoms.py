@@ -16,15 +16,16 @@ must be dense enough to expose them.
 One front end, `trackers`, checks which signals the atoms read and as
 which kind, for batch and streaming checks alike, and gives each base
 atom (a predicate or digital signal; an event's base is its predicate)
-one tracker.  A tracker applies the rule in two ways: `advance` takes
-one segment per streamed sample, and `trace_runs` takes every flip
-segment of a whole trace at once and pairs the boundaries into runs
-with `_pair_runs`, which drops empty runs as a feed does, so both
-produce identical components.  Only `trace_runs` loads numpy, so a
-stream never does.  A streaming tracker may drop its completed runs
-that end before a cut instant (`drop_before`); the runs it keeps are
-still exactly the batch components.  Runs are component keys (see
-`intervals`) of Python floats.
+one tracker, which compiles a predicate once (`expr.compile_expr`) for
+floats and arrays alike.  A tracker applies the rule in two ways:
+`advance` takes one segment per streamed sample, and `trace_runs` takes
+every flip segment of a whole trace at once and pairs the boundaries
+into runs with `_pair_runs`, which drops empty runs as a feed does, so
+both produce identical components.  Only `trace_runs` loads numpy, so a
+stream never does.  A streaming tracker may drop its completed runs that
+end before a cut instant (`drop_before`); the runs it keeps are still
+exactly the batch components.  Runs are component keys (see `intervals`)
+of Python floats.
 
 One `AtomTable` turns those runs into atom truth sets for both modes.
 It is built from a source of base runs (the whole trace for
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import ast
 from .errors import AmscheckError, TraceError, UnknownSignalError
-from .expr import eval_expr, expr_signals, is_affine
+from .expr import compile_expr, expr_signals, is_affine
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, _meet
 
 if TYPE_CHECKING:
@@ -126,18 +127,18 @@ def _pair_runs(times: np.ndarray, start_true: bool, bounds: np.ndarray, closed: 
 
 
 class PorvTracker(_RunTracker):
-    """Incremental truth-run builder for one predicate."""
+    """Incremental truth-run builder for one predicate, compiled once.  A feed keeps the
+    previous sample's time, ``g`` and truth; an affine crossing reads no more, and a
+    non-affine one bisects between a copy of the values read there and the new sample's."""
 
     def __init__(self, porv: ast.Porv, eps: float = TIME_TOL):
         super().__init__()
-        self.porv = porv
         self.eps = eps
         self.ge = porv.rel == ">="
         self.affine = is_affine(porv.expr)
         self.signals = expr_signals(porv.expr)
-        self.prev_t: float | None = None
-        self.prev_vals: dict[str, float] = {}
-        self.prev_g: float = 0.0
+        self.g = compile_expr(porv.expr)
+        self.prev_vals: dict[str, float] | None = None
 
     def truth(self, g):
         """Whether the predicate holds where ``g`` is its left side minus its right side."""
@@ -155,8 +156,7 @@ class PorvTracker(_RunTracker):
         while hi - lo > self.eps:
             mid = 0.5 * (lo + hi)
             w = (mid - t0) / span
-            env = {s: v0[s] + (v1[s] - v0[s]) * w for s in self.signals}
-            gm = eval_expr(self.porv.expr, env)
+            gm = self.g({s: v0[s] + (v1[s] - v0[s]) * w for s in self.signals})
             if (gm > 0) == pos_side:
                 lo = mid
             else:
@@ -166,20 +166,21 @@ class PorvTracker(_RunTracker):
     # -- sample feed ----------------------------------------------------
 
     def begin(self, t0: float, vals: dict[str, float]) -> None:
-        g0 = eval_expr(self.porv.expr, {s: vals[s] for s in self.signals})
-        if self.truth(g0):
+        self.prev_truth = self.truth(self.g(vals))
+        if self.prev_truth:
             self.run = (t0, False)
-        self.prev_t, self.prev_g = t0, g0
-        self.prev_vals = {s: vals[s] for s in self.signals}
+        self.advance(t0, vals)  # no flip: it keeps the sample
 
     def advance(self, t1: float, vals: dict[str, float]) -> None:
-        v1 = {s: vals[s] for s in self.signals}
-        g1 = eval_expr(self.porv.expr, v1)
-        t0, g0 = self.prev_t, self.prev_g
-        if self.truth(g0) != self.truth(g1):
-            self._flip(t0 if g0 == 0 else t1 if g1 == 0 else self._crossing(t0, g0, self.prev_vals, t1, g1, v1),
+        g1 = self.g(vals)
+        truth = g1 >= 0 if self.ge else g1 > 0
+        if truth != self.prev_truth:
+            t0, g0 = self.prev_t, self.prev_g
+            self._flip(t0 if g0 == 0 else t1 if g1 == 0 else self._crossing(t0, g0, self.prev_vals, t1, g1, vals),
                        self.ge)
-        self.prev_t, self.prev_g, self.prev_vals = t1, g1, v1
+        self.prev_t, self.prev_g, self.prev_truth = t1, g1, truth
+        if not self.affine:
+            self.prev_vals = {s: vals[s] for s in self.signals}
 
     def trace_runs(self, trace: Trace) -> tuple[list[Key], bool]:
         """The truth runs of a whole trace, as a feed of its samples builds them,
@@ -187,7 +188,7 @@ class PorvTracker(_RunTracker):
         import numpy as np
         times = trace.times()
         arrays = {s: trace.values(s) for s in self.signals}
-        g = np.broadcast_to(np.asarray(eval_expr(self.porv.expr, arrays), dtype=float), times.shape)
+        g = np.broadcast_to(np.asarray(self.g(arrays), dtype=float), times.shape)
         truth = self.truth(g)
         flip = np.nonzero(truth[:-1] != truth[1:])[0]
         t0, t1, g0, g1 = times[flip], times[flip + 1], g[flip], g[flip + 1]

@@ -152,8 +152,9 @@ def cmd_stream(args) -> int:
     totals: dict[str, dict[str, list[Key]]] = {}
 
     def emit(v):
-        extend_in_order(totals.setdefault(v.name, {}).setdefault(v.kind, []), [v.interval.key], args.time_tol)
-        row = {"assertion": v.name, "kind": v.kind, "interval": _key_row(v.interval.key), "decided_at": v.decided_at}
+        k = v.interval.key
+        extend_in_order(totals.setdefault(v.name, {}).setdefault(v.kind, []), [k], args.time_tol)
+        row = {"assertion": v.name, "kind": v.kind, "interval": _key_row(k), "decided_at": v.decided_at}
         out.write(json.dumps(row, sort_keys=True) + "\n")
         out.flush()
 

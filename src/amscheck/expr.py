@@ -3,13 +3,15 @@
 An expression tree references analog signals through ``V(name)`` nodes
 and evaluates against an environment mapping signal names to floats or
 numpy arrays, so the same tree serves both pointwise and vectorized
-evaluation.  `iter_expr` is the one walk over a tree's nodes; the other
-functions here are folds with their own rule per node.
+evaluation.  `compile_expr`, the one evaluator, turns a tree into nested
+closures once, so no tree is walked per sample.  `iter_expr` is the one
+walk over a tree's nodes; the other functions are folds over a tree.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+import operator
+from typing import Callable, Iterator, Union
 
 
 class Node:
@@ -88,25 +90,21 @@ class Neg(Node):
 Expr = Union[Const, SignalRef, BinOp, Neg]
 
 
-def eval_expr(e: Expr, env):
-    """Evaluate against ``env`` (signal name -> scalar or array)."""
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def compile_expr(e: Expr) -> Callable:
+    """``e`` as one function of an environment (signal name -> scalar or array)."""
     if isinstance(e, Const):
-        return e.value
+        v = e.value
+        return lambda env: v
     if isinstance(e, SignalRef):
-        return env[e.name]
+        return operator.itemgetter(e.name)
     if isinstance(e, Neg):
-        return -eval_expr(e.operand, env)
-    a = eval_expr(e.left, env)
-    b = eval_expr(e.right, env)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        return a / b
-    raise ValueError(f"unknown operator {e.op!r}")
+        f = compile_expr(e.operand)
+        return lambda env: -f(env)
+    f, g, op = compile_expr(e.left), compile_expr(e.right), _OPS[e.op]
+    return lambda env: op(f(env), g(env))
 
 
 def iter_expr(e: Expr) -> Iterator[Expr]:

@@ -11,13 +11,14 @@ partition: each feed step runs `engine.classify` on the window from
 the assertion's frontier up to now - horizon and emits its match and
 fail pieces.  A window no wider than the time tolerance waits for the
 next sample, as normalization would drop it.  So does every window while
-a truth run boundary lies within the time tolerance before the newest
-sample: the run begun or ended there is a sliver that normalization
-would also drop, and offline the same instants see the run that follows
-it.  Vacuous pieces are held and reported at finalize, which classifies
-the rest of the stream.
+the latest truth run boundary lies within the time tolerance before the
+newest sample (one pass over the trackers): the run begun or ended there
+is a sliver that normalization would also drop, and offline the same
+instants see the run that follows it.  Vacuous pieces are held and
+reported at finalize, which classifies the rest of the stream.
 
-Memory and per-sample work stay bounded.  Raw samples are not retained:
+Memory and per-sample work stay bounded.  A sample costs each base atom
+one call of its compiled predicate, and raw samples are not retained:
 trackers keep only completed truth runs plus the previous sample.  An
 instant past an assertion's frontier depends on the trace back to its
 lookback, ``depth(antecedent) + horizon``, before the frontier.  So
@@ -37,6 +38,7 @@ number of vacuous components, not with the samples.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from . import ast
 from .atoms import KINDS, AtomTable, trackers
@@ -45,9 +47,26 @@ from .errors import ProtocolError
 from .expr import Node
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, extend_in_order, set_intersect
 
+_LAST = attrgetter("last")  # a tracker's latest run boundary
+
 
 class Verdict(Node):
-    __slots__ = ("name", "kind", "interval", "decided_at")  # kind: match | vacuous-end | fail | undetermined
+    """``Verdict(name, kind, interval, decided_at)``; kind: match | vacuous-end | fail | undetermined.
+
+    One object: the interval's ends are slots of the verdict, and `interval` builds the
+    `Interval` on access.  Equality, hashing and the pickle are those of the four fields."""
+
+    __slots__ = ("name", "kind", "lo", "hi", "lo_closed", "hi_closed", "decided_at")
+
+    def __init__(self, name: str, kind: str, interval: Interval, decided_at: float):
+        super().__init__(name, kind, interval.lo, interval.hi, interval.lo_closed, interval.hi_closed, decided_at)
+
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.lo, self.hi, self.lo_closed, self.hi_closed)
+
+    def __reduce__(self):
+        return Verdict, (self.name, self.kind, self.interval, self.decided_at)
 
 
 class Obligation(Node):
@@ -69,12 +88,8 @@ class _PropState:
 class Session:
     """One streaming run over an ordered sample sequence."""
 
-    def __init__(
-        self,
-        props: list[ast.Property],
-        signals: "dict[str, str] | list[str] | tuple[str, ...]",
-        eps: float = TIME_TOL,
-    ):
+    def __init__(self, props: list[ast.Property], signals: "dict[str, str] | list[str] | tuple[str, ...]",
+                 eps: float = TIME_TOL):
         if isinstance(signals, dict):
             self.kinds = dict(signals)
         else:
@@ -98,24 +113,20 @@ class Session:
     # -- sample intake --------------------------------------------------
 
     def _coerce(self, values) -> dict[str, float]:
-        names = list(self.kinds)
-        if isinstance(values, dict):
-            got = values
-        else:
+        if not isinstance(values, dict):
             vals = list(values)
-            if len(vals) != len(names):
-                raise ProtocolError(f"expected {len(names)} values, got {len(vals)}")
-            got = dict(zip(names, vals))
+            if len(vals) != len(self.kinds):
+                raise ProtocolError(f"expected {len(self.kinds)} values, got {len(vals)}")
+            values = dict(zip(self.kinds, vals))
         out = {}
-        for name in names:
-            if name not in got:
+        for name, kind in self.kinds.items():
+            if name not in values:
                 raise ProtocolError(f"sample missing signal {name!r}")
-            v = float(got[name])
+            v = out[name] = float(values[name])
             if not math.isfinite(v):
                 raise ProtocolError(f"signal {name!r} has non-finite value {v}")
-            if self.kinds[name] == "boolean" and v not in (0.0, 1.0):
+            if kind == "boolean" and v not in (0.0, 1.0):
                 raise ProtocolError(f"boolean signal {name!r} must be 0 or 1, got {v}")
-            out[name] = v
         return out
 
     def feed(self, t: float, values) -> list[Verdict]:
@@ -136,8 +147,8 @@ class Session:
                 tr.advance(t, vals)
         self._t = t
         out: list[Verdict] = []
-        # a run boundary within eps before t makes a sliver that normalization would drop: wait
-        if any(not _apart(tr.last, t, self.eps) for tr in self._trackers.values()):
+        # the latest run boundary within eps before t makes a sliver that normalization would drop: wait
+        if not _apart(max(map(_LAST, self._trackers.values())), t, self.eps):
             return out
         ev = None
         for st in self.props:

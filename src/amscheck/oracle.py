@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ast
 from .errors import GridError, TraceError
-from .expr import eval_expr, expr_signals
+from .expr import compile_expr, expr_signals
 from .trace import Trace
 
 _TOL = 1e-9
@@ -146,8 +146,7 @@ class _GridEval:
             for s in env:
                 if self.trace.kinds[s] != "analog":
                     raise TraceError(f"V({s}) reads a boolean signal")
-            g = eval_expr(b.expr, env)
-            g = np.broadcast_to(np.asarray(g, dtype=float), (self.n,))
+            g = np.broadcast_to(np.asarray(compile_expr(b.expr)(env), dtype=float), (self.n,))
             return g >= 0 if b.rel == ">=" else g > 0
         if isinstance(b, ast.BoolSignal):
             if self.trace.kinds.get(b.name) != "boolean":

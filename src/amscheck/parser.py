@@ -184,10 +184,8 @@ class _Parser:
                     tok.col,
                 )
         f = left if (isinstance(right, Const) and right.value == 0.0) else BinOp("-", left, right)
-        if op == ">":
-            return ast.Porv(f, ">")
-        if op == ">=":
-            return ast.Porv(f, ">=")
+        if op in (">", ">="):
+            return ast.Porv(f, op)
         if op == "<":
             return ast.Not(ast.Porv(f, ">="))
         if op == "<=":

@@ -8,7 +8,9 @@ text over a fixed, seeded input set:
 - ``stream``: ``amscheck stream`` output on each of those inputs' first
   stream window;
 - ``session``: `Session` verdicts (name, kind, interval, decided_at) on
-  corpus traces resampled to 100 samples;
+  corpus traces resampled to 100 samples, for corpus properties and for
+  the same kind of properties with non-affine predicates, whose crossings
+  the trackers bisect;
 - ``match``: `assertion_match` component keys on corpus cases;
 - ``codegen``: `generate_monitors` text, bare and wrapped in a module, or
   the `CodegenError` text, on corpus properties;
@@ -36,6 +38,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +60,8 @@ from amscheck import (  # noqa: E402
     cli,
     generate_monitors,
     oracle_classify,
+    parse_property,
+    pretty,
 )
 
 FULL = {"size": "full", "seeds": (0, 1, 2), "session": 150, "match": 1500, "codegen": 600, "oracle": 300}
@@ -102,9 +107,14 @@ def cli_outputs(cfg: dict, work: Path) -> tuple[list[str], list[str]]:
     return checks, streams
 
 
+def _nonaffine(p):
+    """``p`` with every ``V(s)`` read as ``V(s)*V(s)-V(s0)/2``: no predicate is affine."""
+    return parse_property(re.sub(r"V\((\w+)\)", r"(V(\1)*V(\1)-V(s0)/2)", pretty(p)), name=p.name)
+
+
 def session_outputs(n: int) -> list[str]:
     out = []
-    for tr, p in _cases(n, 11):
+    for tr, p in [*_cases(n, 11), *((tr, _nonaffine(p)) for tr, p in _cases(n, 16))]:
         t = np.linspace(tr.domain.lo, tr.domain.hi, 100)
         cols = {s: np.interp(t, tr.times(), tr.values(s)).tolist() for s in tr.signals}
         sess = Session([p], tr.kinds)

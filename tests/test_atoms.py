@@ -21,7 +21,7 @@ from amscheck import (
 from amscheck import ast as A
 from amscheck.atoms import BoolTracker, PorvTracker, trackers
 from amscheck.engine import _Evaluator
-from amscheck.expr import BinOp, Const, SignalRef, is_affine
+from amscheck.expr import BinOp, Const, Neg, SignalRef, is_affine
 from amscheck.wavegen import fixture_trace
 
 MS = 1e-3
@@ -301,10 +301,15 @@ def test_batch_runs_equal_sample_feed_bit_for_bit():
             porv = A.Porv(BinOp("-", BinOp("*", SignalRef(names[0]), SignalRef(names[1])), Const(0.3)),
                           rng.choice([">", ">="]))
             nonaffine += 1
+        elif case % 10 == 5:  # -a + b / (a + 3) - 0.2, with a + 3 >= 2 on the corpus's values
+            a, b = SignalRef(names[0]), SignalRef(names[1])
+            porv = A.Porv(BinOp("-", BinOp("+", Neg(a), BinOp("/", b, BinOp("+", a, Const(3.0)))), Const(0.2)),
+                          rng.choice([">", ">="]))
+            nonaffine += 1
         else:
             porv = _porv(rng, names)
         cols = {n: tr.values(n).tolist() for n in names}
-        if case % 10:
+        if case % 5:
             # scale * v - (scale * thresh) is exactly zero at v = thresh
             (mul, const), name = (porv.expr.left.left, porv.expr.right), porv.expr.left.right.name
             for i in rng.sample(range(len(tr)), min(len(tr), rng.randint(0, 4))):
@@ -313,7 +318,32 @@ def test_batch_runs_equal_sample_feed_bit_for_bit():
         tr = Trace(tr.times(), cols)
         batch, fed = PorvTracker(porv, 1e-9).trace_runs(tr)[0], fed_components(PorvTracker(porv), tr)
         assert repr(batch) == repr(fed), (case, porv)
-    assert zeros > 300 and nonaffine == 30
+    assert zeros > 300 and nonaffine == 60
+
+
+def test_a_fed_sample_mutated_in_place_leaves_the_runs_unchanged():
+    """A non-affine tracker bisects between the previous sample and the new
+    one, so it keeps its own copy of the values it read: a caller that reuses
+    one sample dict, updating it in place between feeds, gets the runs that
+    fresh dicts give."""
+    rng = random.Random(4545)
+    runs = 0
+    for case in range(200):
+        tr = random_trace(rng)
+        names = list(tr.signals)
+        porv = A.Porv(BinOp("-", BinOp("*", SignalRef(names[0]), SignalRef(names[1])), Const(0.3)),
+                      rng.choice([">", ">="]))
+        times = tr.times().tolist()
+        cols = {s: tr.values(s).tolist() for s in names}
+        reused, sample = PorvTracker(porv), {s: c[0] for s, c in cols.items()}
+        reused.begin(times[0], sample)
+        for i in range(1, len(times)):
+            sample.update((s, c[i]) for s, c in cols.items())
+            reused.advance(times[i], sample)
+        fed = fed_components(PorvTracker(porv), tr)
+        assert repr(reused.components(times[-1])) == repr(fed), (case, porv)
+        runs += len(fed)
+    assert runs > 200
 
 
 def test_bool_batch_runs_equal_sample_feed_bit_for_bit():

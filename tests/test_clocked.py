@@ -9,12 +9,12 @@ from _corpus import _bexpr, random_trace
 from amscheck import AmscheckError, Trace, TraceError, parse_property
 from amscheck import ast as A
 from amscheck.clocked import clocked_delay_check, sample_on_clock
-from amscheck.expr import eval_expr
+from amscheck.expr import compile_expr
 
 
 def _truth_at(b, env):
     if isinstance(b, A.Porv):
-        g = eval_expr(b.expr, env)
+        g = compile_expr(b.expr)(env)
         return g >= 0 if b.rel == ">=" else g > 0
     if isinstance(b, A.BoolSignal):
         return env[b.name] == 1.0

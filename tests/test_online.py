@@ -1,6 +1,8 @@
 """Streaming checker tests: incremental verdicts and offline agreement."""
 
+import gc
 import math
+import pickle
 import random
 from itertools import accumulate, combinations
 
@@ -230,6 +232,48 @@ class TestProtocol:
         assert len(s.pending_obligations()) == 1  # [0:1], decided only 3 s after each instant
         s.finalize()
         assert s.pending_obligations() == []
+
+
+class TestVerdictRecord:
+    """A verdict keeps its interval's endpoints in its own fields: one object,
+    with the meaning of the four fields ``name, kind, interval, decided_at``."""
+
+    def test_constructor_takes_an_interval_and_gives_it_back(self):
+        iv = Interval(0.5, 1.5, False, True)
+        v = online.Verdict("p", "match", iv, 2.0)
+        assert v.interval == iv and type(v.interval) is Interval
+        assert online.Verdict(name="p", kind="match", interval=iv, decided_at=2.0) == v
+        assert not any(isinstance(r, Interval) for r in gc.get_referents(v))
+
+    def test_equal_and_hash_equal_exactly_when_the_four_fields_are(self):
+        rng = random.Random(3131)
+        ivs = [Interval(0.0, 1.0), Interval(0.0, 1.0, False), Interval(0.0, 1.0, True, False), Interval(0.0, 2.0),
+               Interval(1.0, 1.0), Interval(2.0, 1.0), Interval(0.0, 0.0, False)]
+        pool = [(n, k, iv, d) for n in ("p", "q") for k in ("match", "fail") for iv in ivs for d in (1.0, 2.0)]
+        for _ in range(2000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            va, vb = online.Verdict(*a), online.Verdict(*b)
+            assert (va == vb) == (a == b) and (va != vb) == (a != b)
+            if a == b:
+                assert hash(va) == hash(vb)
+
+    def test_fields_cannot_be_set_and_a_pickle_holds_the_four_fields(self):
+        v = online.Verdict("p", "fail", Interval(0.25, 0.75, True, False), 1.0)
+        for field in ("name", "kind", "interval", "decided_at", "lo", "hi_closed"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, None)
+        assert v.__reduce__() == (online.Verdict, ("p", "fail", Interval(0.25, 0.75, True, False), 1.0))
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v) and back.interval == v.interval
+
+    def test_streamed_verdicts_equal_ones_built_from_their_fields(self):
+        s = Session([parse_property(SETTLING, name="settle")], ["Vout"])
+        verdicts = stream(s, fixture_trace("settling")) + s.finalize()
+        assert {v.kind for v in verdicts} == {"match", "vacuous-end"}
+        for v in verdicts:
+            iv = v.interval
+            assert online.Verdict(v.name, v.kind, iv, v.decided_at) == v
+            assert Interval.from_key(iv.key) == iv and type(iv.lo_closed) is bool and type(iv.hi_closed) is bool
 
 
 class TestSignalKinds:

@@ -1,7 +1,9 @@
 """The lexer, the value classes, syntax-tree traversal and the pretty-printer round trip."""
 
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from _corpus import random_property
 from _lex_reference import reference_lex
 from amscheck import ast as A
 from amscheck import Interval, ParseError, Verdict, generate_monitors, parse_file, parse_property, pretty
-from amscheck.expr import BinOp, Const, Neg, Node, SignalRef, expr_signals, format_number, iter_expr
+from amscheck.expr import BinOp, Const, Neg, Node, SignalRef, compile_expr, expr_signals, format_number, iter_expr
 from amscheck.parser import _lex
 
 FIXTURE_PROPS = """\
@@ -108,6 +110,65 @@ class TestIterExpr:
         assert expr_signals(e) == ("b", "a", "c", "d")
         assert expr_signals(Const(1.0)) == ()
         assert expr_signals(Neg(Neg(SignalRef("x")))) == ("x",)
+
+
+def walk_expr(e, env):
+    """A tree walk over ``e``: the reference that `compile_expr` must match."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, SignalRef):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -walk_expr(e.operand, env)
+    a, b = walk_expr(e.left, env), walk_expr(e.right, env)
+    return a + b if e.op == "+" else a - b if e.op == "-" else a * b if e.op == "*" else a / b
+
+
+def random_expr(rng, names, depth):
+    """A random tree over ``names`` (none: a constant-only tree); a ``/`` divides by a
+    constant or by a signal expression kept away from zero."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        if names and rng.random() < 0.6:
+            return SignalRef(rng.choice(names))
+        return Const(rng.choice([0.5, -1.25, 3.0, 1e-3, rng.uniform(-4.0, 4.0)]))
+    if roll < 0.35:
+        return Neg(random_expr(rng, names, depth - 1))
+    op = rng.choice("+-*/")
+    if op != "/":
+        return BinOp(op, random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
+    if not names or rng.random() < 0.5:
+        return BinOp(op, random_expr(rng, names, depth - 1), Const(rng.choice([3.0, -0.7, 1e-9])))
+    # x*x + 1 >= 1 for any signal value x
+    x = SignalRef(rng.choice(names))
+    return BinOp(op, random_expr(rng, names, depth - 1), BinOp("+", BinOp("*", x, x), Const(1.0)))
+
+
+class TestCompileExpr:
+    def test_bit_identical_to_a_tree_walk_on_floats_and_arrays(self):
+        rng = random.Random(2323)
+        names = ["a", "b", "c"]
+        seen = {"+": 0, "-": 0, "*": 0, "/": 0, "neg": 0, "const-only": 0, "by-const": 0}
+        for case in range(600):
+            tree = random_expr(rng, names if case % 5 else [], rng.randint(0, 5))
+            nodes = list(iter_expr(tree))
+            for n in nodes:
+                if isinstance(n, BinOp):
+                    seen[n.op] += 1
+                    seen["by-const"] += n.op == "/" and isinstance(n.right, Const)
+                seen["neg"] += isinstance(n, Neg)
+            seen["const-only"] += not expr_signals(tree) and len(nodes) > 1
+            f = compile_expr(tree)
+            arrays = {s: np.array([rng.uniform(-3.0, 3.0) for _ in range(20)] + [0.0, -0.0, 1.0]) for s in names}
+            for i in range(len(arrays["a"])):
+                env = {s: float(v[i]) for s, v in arrays.items()}
+                want, got = walk_expr(tree, env), f(env)
+                assert type(got) is type(want) and struct.pack("<d", got) == struct.pack("<d", want), (tree, env)
+            with np.errstate(all="ignore"):
+                want, got = walk_expr(tree, arrays), f(arrays)
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tree
+        assert min(seen.values()) >= 20, seen
 
 
 class TestNumberFormat:
