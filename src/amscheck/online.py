@@ -14,8 +14,11 @@ next sample, as normalization would drop it.  So does every window while
 the latest truth run boundary lies within the time tolerance before the
 newest sample (one pass over the trackers): the run begun or ended there
 is a sliver that normalization would also drop, and offline the same
-instants see the run that follows it.  Vacuous pieces are held and
-reported at finalize, which classifies the rest of the stream.
+instants see the run that follows it.  While a predicate that an event
+reads is exactly 0 at the newest sample, decisions stop at the sample
+before it: only the next sample shows whether a run starts or ends there,
+and so whether the event happens.  Vacuous pieces are held and reported
+at finalize, which classifies the rest of the stream.
 
 Memory and per-sample work stay bounded.  A sample costs each base atom
 one call of its compiled predicate, and raw samples are not retained:
@@ -48,6 +51,7 @@ from .expr import Node
 from .intervals import TIME_TOL, Interval, IntervalSet, Key, _apart, extend_in_order, set_intersect
 
 _LAST = attrgetter("last")  # a tracker's latest run boundary
+_G = attrgetter("prev_g")  # a predicate tracker's newest left side minus right side
 
 
 class Verdict(Node):
@@ -105,6 +109,8 @@ class Session:
         self.eps = eps
         self._atoms = dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop))
         self._trackers = trackers(self._atoms, self.kinds, eps)
+        self._event_porvs = tuple(self._trackers[a.pred] for a in self._atoms
+                                  if isinstance(a, ast.EventAtom) and isinstance(a.pred, ast.Porv))
         self._t0: float | None = None
         self._t: float | None = None
         self._cut = float("-inf")  # start of the retained sub-domain
@@ -138,7 +144,8 @@ class Session:
         if self._t is not None and t <= self._t:
             raise ProtocolError(f"time must increase: {t} after {self._t}")
         vals = self._coerce(values)
-        if self._t is None:
+        prev = self._t
+        if prev is None:
             self._t0 = self._cut = t
             for tr in self._trackers.values():
                 tr.begin(t, vals)
@@ -150,9 +157,14 @@ class Session:
         # the latest run boundary within eps before t makes a sliver that normalization would drop: wait
         if not _apart(max(map(_LAST, self._trackers.values())), t, self.eps):
             return out
+        # a predicate an event reads is exactly 0 at t: whether a run starts or ends at t shows only in
+        # the next sample, so decide no further than the previous one
+        now = prev if 0.0 in map(_G, self._event_porvs) else t
+        if now is None:
+            return out
         ev = None
         for st in self.props:
-            upto = t - st.horizon
+            upto = now - st.horizon
             # a window no wider than eps would normalize away: let it grow
             if upto < self._t0 or not _apart(st.frontier, upto, self.eps):
                 continue

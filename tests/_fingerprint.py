@@ -5,6 +5,12 @@ text over a fixed, seeded input set:
 
 - ``check``: ``amscheck check --report`` report bytes, stdout and exit code
   on seeds 0-2 of every workload in ``benchmarks/workloads.py``;
+- ``check_split``: ``amscheck check --report`` report bytes, stdout and
+  exit code on traces of a few MiB, large enough for ``load_csv`` to parse
+  in parts on a host with two CPUs or more: clean files with LF or CRLF line
+  ends, a byte-order mark or no final line end, files with a comment,
+  whitespace-only, blank, ``#kind``, malformed or non-UTF-8 line late among
+  the data, and one with a lone CR in the header;
 - ``stream``: ``amscheck stream`` output on each of those inputs' first
   stream window;
 - ``session``: `Session` verdicts (name, kind, interval, decided_at) on
@@ -64,8 +70,9 @@ from amscheck import (  # noqa: E402
     pretty,
 )
 
-FULL = {"size": "full", "seeds": (0, 1, 2), "session": 150, "match": 1500, "codegen": 600, "oracle": 300}
-TINY = {"size": "tiny", "seeds": (0,), "session": 5, "match": 20, "codegen": 20, "oracle": 3}
+FULL = {"size": "full", "seeds": (0, 1, 2), "split_rows": 60_000, "session": 150, "match": 1500, "codegen": 600,
+        "oracle": 300}
+TINY = {"size": "tiny", "seeds": (0,), "split_rows": 30_000, "session": 5, "match": 20, "codegen": 20, "oracle": 3}
 
 
 def _cases(n: int, seed: int):
@@ -105,6 +112,43 @@ def cli_outputs(cfg: dict, work: Path) -> tuple[list[str], list[str]]:
             streams.append(f"{name} {seed}\n" + _run_cli(["stream", "props.txt", "--signals", ",".join(sig)],
                                                           "\n".join(lines) + "\n"))
     return checks, streams
+
+
+def split_check_outputs(cfg: dict, work: Path) -> list[str]:
+    """Check outputs on traces large enough to be parsed in parts; runs in ``work``."""
+    w = WORKLOADS["smooth-cli"]
+    (work / "props.txt").write_text(w.props)
+    t, sig = w.signals(3, cfg["split_rows"])
+    header = "time," + ",".join(sig)
+    rows = [",".join(map(repr, row)) for row in zip(t.tolist(), *(v.tolist() for v in sig.values()))]
+    late = len(rows) * 7 // 8  # in the last of two or more parts
+
+    def text(body, end="\n", final=True, head=header) -> bytes:
+        return (head + end + end.join(body) + (end if final else "")).encode("utf-8", "surrogateescape")
+
+    def inserted(line, at=late):
+        return rows[:at] + [line] + rows[at:]
+
+    variants = [
+        ("lf", text(rows)),
+        ("crlf and bom", b"\xef\xbb\xbf" + text(rows, "\r\n")),
+        ("no final line end", text(rows, final=False)),
+        ("late comment", text(inserted("# a note"))),
+        ("late whitespace-only line", text(inserted("  \t"))),
+        ("blank line", text(inserted("", len(rows) // 2))),
+        ("late kind row", text(inserted("#kind,analog,analog,analog"))),
+        ("late malformed row", text(inserted("1e9,abc,1,2"))),
+        ("late non-UTF-8 byte", text(inserted("1e9,\udcff,1,2"))),
+        ("lone CR in the header", text(rows, head="# exported\r" + header)),
+    ]
+    out = []
+    for name, data in variants:
+        (work / "trace.csv").write_bytes(data)
+        rep = work / "report.json"
+        rep.unlink(missing_ok=True)
+        got = _run_cli(["check", "trace.csv", "props.txt", "--report", "report.json"])
+        out.append(f"{name}\n{got}{rep.read_text() if rep.exists() else ''}")
+    return out
 
 
 def _nonaffine(p):
@@ -164,10 +208,12 @@ def fingerprint(cfg: dict) -> dict[str, str]:
         os.chdir(tmp)
         try:
             checks, streams = cli_outputs(cfg, Path(tmp))
+            split_checks = split_check_outputs(cfg, Path(tmp))
         finally:
             os.chdir(cwd)
     parts = {
         "check": checks,
+        "check_split": split_checks,
         "stream": streams,
         "session": session_outputs(cfg["session"]),
         "match": match_outputs(cfg["match"]),

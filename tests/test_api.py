@@ -173,7 +173,7 @@ def test_equivalence_fingerprint_smoke():
 
     here = Path(__file__).resolve().parent
     want = _fingerprint.fingerprint(_fingerprint.TINY)
-    assert sorted(want) == ["check", "codegen", "match", "oracle", "session", "stream"]
+    assert sorted(want) == ["check", "check_split", "codegen", "match", "oracle", "session", "stream"]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in want.values())
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": str(here.parent / "src"), "PYTHONHASHSEED": seed}

@@ -546,3 +546,58 @@ def test_streamed_kinds_are_disjoint(cases):
         for (k1, a), (k2, b) in combinations(kinds.items(), 2):
             both = set_intersect(IntervalSet.from_keys(a), IntervalSet.from_keys(b), 0.0)  # no sliver dropped
             assert both.is_empty, (k1, k2, both, tr.times().tolist(), pretty(p))
+
+
+class TestExactZeroEvent:
+    """A predicate that an event reads and that is exactly 0 at the newest sample may start or
+    end a run there, which only the next sample shows: the stream decides up to the sample before."""
+
+    KINDS = {"match": "nonvacuous", "vacuous-end": "vacuous", "fail": "fail", "undetermined": "undetermined"}
+
+    def test_rise_from_an_exact_zero_matches_as_offline(self):
+        p = parse_property("{V(x)<=0.5} |-> @+{V(x)>0};", name="p")
+        sess = Session([p], ["x"])
+        verdicts = [v for t, x in [(0.0, -1.0), (1.0, 0.0), (2.0, 1.0)] for v in sess.feed(t, [x])]
+        verdicts += sess.finalize()
+        rep = assertion_match(p, build_table(Trace([0.0, 1.0, 2.0], {"x": [-1.0, 0.0, 1.0]}), p))
+        assert rep.nonvacuous.approx_eq(IntervalSet([Interval(1.0, 1.0)]))
+        assert [v.interval for v in verdicts if v.kind == "match"] == [Interval(1.0, 1.0)]
+        for kind, attr in self.KINDS.items():
+            assert union_of(verdicts, {kind}).approx_eq(getattr(rep, attr)), kind
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_decimal_corpus_with_event_consequents(self, seed):
+        """Knots, values and thresholds on decimal grids put many exact zeros on the samples;
+        with no delay, no window edge falls between samples, so kind unions equal offline."""
+        from _corpus import _bexpr, _porv
+        from amscheck import ast as A, validate
+        from amscheck.expr import compile_expr
+
+        rng = random.Random(seed)
+        zeros = 0
+        for case in range(300):
+            tr = decimal_trace(rng)
+            names = list(tr.signals)
+            event = A.EventAtom(_porv(rng, names, 0.5), rng.choice(["pos", "neg", "any"]))
+            p = validate(A.Property(A.SeqBool(_bexpr(rng, names, 0.5)), A.SeqBool(event), None, name="r"))
+            g = compile_expr(event.pred.expr)
+            zeros += any(g(tr.sample(i)[1]) == 0 for i in range(len(tr)))
+            sess = Session([p], tr.kinds)
+            verdicts = stream(sess, tr) + sess.finalize()
+            rep = assertion_match(p, build_table(tr, p))
+            for kind, attr in self.KINDS.items():
+                assert union_of(verdicts, {kind}).approx_eq(getattr(rep, attr)), (case, kind, pretty(p))
+        assert zeros > 100
+
+    def test_a_signal_stuck_at_its_threshold_decides_one_sample_late(self):
+        p = parse_property("{V(y)>0}[*0.004] |-> @+{V(x)>0};", name="p")
+        sess = Session([p], ["x", "y"])
+        times = [k * 1e-3 for k in range(10_000)]
+        retained = {}
+        for i, t in enumerate(times):
+            sess.feed(t, [0.0, 1.0 if i % 10 < 5 else -1.0])
+            if i:
+                assert sess.props[0].frontier == times[i - 1]
+            if i + 1 in (1_000, 10_000):
+                retained[i + 1] = sess.retained_runs()
+        assert 0 < retained[10_000] <= retained[1_000]

@@ -1,10 +1,13 @@
 """Trace container, interpolation, and CSV round-trip tests."""
 
 import csv
+import errno
 import os
 import pathlib
 import threading
+import types
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -470,3 +473,217 @@ class TestPipe:
         finally:
             os.close(r)
         assert capsys.readouterr().out.startswith("p  PASS  match=")
+
+
+def no_child_left():
+    """True when this process has no child, running or a zombie, left to reap."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSplitRead:
+    """A large regular file is parsed in byte ranges at once: the caller parses the first,
+    a forked child each other.  ``PART_BYTES`` and the CPU count are patched here so that
+    small files split; the split read must give what the whole-file read gives."""
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        """``parts(cpus)`` lets files of a few hundred bytes split into up to ``cpus`` parts; it
+        returns a log of the children forked (``forks``) and of the line filter's reads (``filtered``)."""
+        log = types.SimpleNamespace(forks=[], filtered=0)
+        fork, read_rows = trace._fork, trace._read_rows
+
+        def counted():
+            if pid := fork():
+                log.forks.append(pid)
+            return pid
+
+        def spied(source, width, **file_args):
+            log.filtered += not isinstance(source, str)
+            return read_rows(source, width, **file_args)
+
+        def split(cpus, part_bytes=64):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(trace, "PART_BYTES", part_bytes)
+            monkeypatch.setattr(trace, "_fork", counted)
+            monkeypatch.setattr(trace, "_read_rows", spied)
+            return log
+
+        return split
+
+    @staticmethod
+    def whole(path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return outcome(path)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_same_as_the_whole_file_read(self, tmp_path, monkeypatch, parts, cpus):
+        """Over hand-written files (CRLF and lone CR line ends, byte-order marks, comments,
+        blank lines and malformed rows among the data, non-UTF-8 bytes), rows and errors."""
+        rng = np.random.default_rng(cpus)
+        split = 0
+        for i in range(60):
+            path = tmp_path / f"t{i}.csv"
+            text, clean = hand_written_file(rng)
+            path.write_bytes(text)
+            log = parts(cpus)
+            forks, filtered = len(log.forks), log.filtered
+            got = outcome(path)
+            assert no_child_left()
+            if len(log.forks) > forks:
+                split += 1
+                assert (log.filtered > filtered) == (not clean), text  # a clean file needs no filter
+            assert got == self.whole(path, monkeypatch), text
+        assert split >= 20
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["lf", "crlf", "bom", "no final line end", "long last row", "long last row, no line end", "one long row"],
+    )
+    def test_cut_points(self, tmp_path, monkeypatch, parts, layout):
+        """A cut right after the last row leaves an empty last range, which is dropped."""
+        end = "\r\n" if layout == "crlf" else "\n"
+        rows = [f"{i * 0.25!r},{(i * 7919) % 101 / 7!r},{i}" for i in range(40)]
+        if layout.startswith("long last row"):
+            rows[-1] += " " * 400  # padding numpy accepts: the last share of the bytes falls in this row
+        if layout == "one long row":
+            rows = ["0, 1" + " " * 600 + ",2", "1,2,3"]
+        text = end.join(["time,x,y", "#kind,analog,analog", *rows])
+        text += "" if "no line end" in layout else end
+        path = tmp_path / "t.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if layout == "bom" else b"") + text.encode())
+        log = parts(4)
+        got = outcome(path)
+        assert no_child_left() and log.filtered == 0
+        assert got == self.whole(path, monkeypatch)
+        assert len(got[1]) == 2 and len(got[0]) == 8 * len(rows)
+        assert len(log.forks) == (1 if layout == "one long row" else 2 if "long last row" in layout else 3)
+
+    def test_a_lone_cr_before_the_first_row_keeps_the_whole_read(self, tmp_path, monkeypatch, parts):
+        """Text mode ends a line at a lone \\r, so counting \\n bytes would put the first row elsewhere."""
+        text = "# exported\rtime,x\n" + "".join(f"{i},{i % 7}\n" for i in range(200))
+        path = write_bytes(tmp_path, text)
+        log = parts(4)
+        got = outcome(path)
+        assert log.forks == [] and no_child_left()
+        assert got == self.whole(path, monkeypatch)
+        assert np.frombuffer(got[0]).tolist() == [float(i) for i in range(200)]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["# a note", "  \t", "#kind,analog,boolean", "1e9,abc,1", "1e9,1", "1e9,1,2,3", "1e9,\udcff,1", ""],
+        ids=["comment", "whitespace", "kind row", "bad cell", "short row", "long row", "not utf-8", "blank"],
+    )
+    def test_a_line_in_a_child_range(self, tmp_path, monkeypatch, parts, line):
+        """Each gives the same rows, or the same error naming the same line, as the whole-file read."""
+        # 4000 rows: numpy decodes the first few KiB of text before it parses one row
+        lines = ["time,x,y"] + [f"{i * 0.5!r},{(i * 7919) % 101 / 7!r},{i}" for i in range(4000)]
+        lines.insert(3800, line)  # in the last quarter of the bytes
+        path = tmp_path / "t.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        log = parts(4, part_bytes=8192)
+        got = outcome(path)
+        assert no_child_left()
+        assert got == self.whole(path, monkeypatch)
+        assert len(log.forks) == (0 if line == "" else 3)  # a blank line keeps the whole-file read
+        if line in ("# a note", "  \t", ""):
+            assert len(np.frombuffer(got[0])) == 4000
+        else:
+            assert got[1].startswith(f"{path}:3801: ")
+
+    @pytest.mark.parametrize("at, line", [(390, "# a note"), (1, "oops,1")])
+    def test_a_rejected_range_goes_straight_to_the_line_filter(self, tmp_path, monkeypatch, parts, at, line):
+        """A comment among the data is parsed no more often than by the whole-file read: the
+        caller's range, then the line filter, and no read of the whole file by name between.
+        A bad first row, which the one-row read finds, is not parsed again either."""
+        lines = ["time,x"] + [f"{i},{i % 7}" for i in range(400)]
+        lines.insert(at, line)
+        path = write_bytes(tmp_path, "\n".join(lines) + "\n")
+        log = parts(2, part_bytes=1024)
+        calls = []
+        read_rows = trace._read_rows
+
+        def spied(source, width, **file_args):
+            calls.append("name" if isinstance(source, str) else "lines")
+            calls[-1] += "" if file_args.get("max_rows") is None else " part"
+            return read_rows(source, width, **file_args)
+
+        monkeypatch.setattr(trace, "_read_rows", spied)
+        got = outcome(path)
+        assert no_child_left()
+        if at > 1:
+            assert np.frombuffer(got[0]).tolist() == [float(i) for i in range(400)]
+            # the one-row read that loads numpy's reader, the caller's range, then the filter
+            assert calls == ["name part", "name part", "lines"] and len(log.forks) == 1
+        else:
+            assert got[1] == f"{path}:2: could not convert string to float: 'oops'"
+            # the one-row read, then the filter, which numpy rejects, so it bisects the lines
+            assert calls[:2] == ["name part", "lines"] and set(calls[2:]) == {"lines"} and log.forks == []
+
+    @pytest.mark.parametrize("failure", ["child exits 1", "caller raises", "wait fails", "fork fails"])
+    def test_every_child_is_reaped(self, tmp_path, monkeypatch, parts, failure):
+        lines = ["time,x"] + [f"{i},{i % 7}" for i in range(400)]
+        path = write_bytes(tmp_path, "\n".join(lines) + "\n")
+        want = self.whole(path, monkeypatch)
+        log = parts(4, part_bytes=512)
+        caller = os.getpid()
+        read_rows = trace._read_rows
+        if failure == "child exits 1":
+            monkeypatch.setattr(trace, "_read_rows", lambda s, w, **f: None if os.getpid() != caller else
+                                read_rows(s, w, **f))
+        elif failure == "caller raises":
+            def interrupted(source, width, **file_args):
+                if os.getpid() == caller and file_args.get("max_rows", 1) > 1:
+                    raise KeyboardInterrupt
+                return read_rows(source, width, **file_args)
+
+            monkeypatch.setattr(trace, "_read_rows", interrupted)
+        elif failure == "wait fails":
+            waitpid = os.waitpid
+
+            def lost(pid, options):
+                waitpid(pid, options)
+                raise ChildProcessError
+
+            monkeypatch.setattr(os, "waitpid", lost)
+        else:
+            fork = trace._fork
+
+            def no_process():
+                if len(log.forks) < 2:
+                    return fork()
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(trace, "_fork", no_process)
+        if failure == "caller raises":
+            with pytest.raises(KeyboardInterrupt):
+                load_csv(path)
+        else:
+            assert outcome(path) == want
+        monkeypatch.undo()
+        assert no_child_left()
+        assert len(log.forks) == (2 if failure == "fork fails" else 3)
+
+    def test_at_most_max_parts(self, tmp_path, monkeypatch, parts):
+        path = write_bytes(tmp_path, "time,x\n" + "".join(f"{i},{i % 7}\n" for i in range(400)))
+        monkeypatch.setattr(trace, "MAX_PARTS", 3)
+        log = parts(4)
+        assert outcome(path) == self.whole(path, monkeypatch)
+        assert len(log.forks) == 2 and no_child_left() and log.filtered == 0
+
+    def test_only_the_fork_warning_of_python_312_is_silenced(self, monkeypatch):
+        """Python 3.12+ warns at a fork of a process with other threads, as numpy's BLAS pool is."""
+        message = "This process (pid=1) is multi-threaded, use of fork() may lead to deadlocks in the child."
+
+        def warning_fork(text):
+            warnings.warn(text, DeprecationWarning, stacklevel=2)
+            return 12345
+
+        monkeypatch.setattr(os, "fork", lambda: warning_fork(message))
+        assert trace._fork() == 12345
+        monkeypatch.setattr(os, "fork", lambda: warning_fork("another deprecation"))
+        with pytest.raises(DeprecationWarning):
+            trace._fork()
