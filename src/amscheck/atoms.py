@@ -153,8 +153,8 @@ class PorvTracker(_RunTracker):
         lo, hi = t0, t1
         span = t1 - t0
         pos_side = g0 > 0
-        while hi - lo > self.eps:
-            mid = 0.5 * (lo + hi)
+        # a midpoint not strictly inside (lo, hi) ends it: no float lies between them
+        while hi - lo > self.eps and lo < (mid := 0.5 * (lo + hi)) < hi:
             w = (mid - t0) / span
             gm = self.g({s: v0[s] + (v1[s] - v0[s]) * w for s in self.signals})
             if (gm > 0) == pos_side:

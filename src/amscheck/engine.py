@@ -111,10 +111,6 @@ class MatchReport(Node):
 
     __slots__ = ("name", "domain", "nonvacuous", "vacuous", "fail", "undetermined", "horizon")
 
-    def __init__(self, name, domain, nonvacuous, vacuous, fail, undetermined, horizon):
-        for put, v in zip(self._setters, (name, domain, nonvacuous, vacuous, fail, undetermined, horizon)):
-            put(self, v)
-
     def status_at(self, t: float) -> str:
         if self.nonvacuous.contains(t):
             return "match"

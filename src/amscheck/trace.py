@@ -27,20 +27,21 @@ locale, without a leading byte-order mark, by `errors.open_utf8`: a byte
 that is not UTF-8 raises ``EncodingError`` naming its line and column.
 
 A regular file of at least two ``PART_BYTES`` is parsed in parts at once,
-one per usable CPU and at most ``MAX_PARTS``: the data rows are cut just
-after a line end into byte ranges of about equal size, the caller parses
-the first range and one forked child per other range writes its rows into
-shared memory.  Every child is reaped before `load_csv` returns.  A
-file with a lone ``\r`` or a blank line keeps the whole-file read, and so
-does a platform without ``os.fork`` or ``os.sched_getaffinity``.  A range
-that numpy rejects, a child that does not exit 0 or a failed wait sends
-the file to the line filter, so rows and error messages do not depend on
-the split.  Nothing of this is configurable.
+one per usable CPU and at most ``MAX_PARTS``: the file is cut into byte
+ranges of about equal size, each just after a line feed, which ends a
+text line whatever the line ends around it, and one forked child per range
+parses its bytes and writes its rows into shared memory.  Every child is
+reaped before `load_csv` returns.  A platform without ``os.fork`` or
+``os.sched_getaffinity``, or a map that cannot be made, keeps the
+whole-file read.  A range that numpy rejects, a child that does not exit
+0 or a failed wait sends the file to the line filter, so rows and error
+messages do not depend on the split.  Nothing of this is configurable.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import mmap
 import os
 import signal
@@ -142,7 +143,7 @@ def _read_rows(source: str | Iterable[str], width: int, **file_args) -> np.ndarr
         rows = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **file_args)
     except ValueError:
         return None
-    return rows if rows.shape[1] == width else None
+    return rows if rows.shape[1] == width or not len(rows) else None  # no data reads as (0, 1)
 
 
 def _data_body(path, lineno: int, line: str) -> str:
@@ -186,28 +187,6 @@ PART_BYTES = 1 << 20
 MAX_PARTS = 8
 
 
-def _line_ends(name: str, first: int) -> tuple[int, np.ndarray] | None:
-    """The byte offset of data line ``first`` of ``name`` and the offset just past each data line,
-    or None where line numbers by ``\n`` bytes could disagree with numpy's, which counts text lines:
-    a lone ``\r`` ends a text line, and a blank line is not a row but counts in ``skiprows``."""
-    ends, crs, pos = [], [], 0
-    with open(name, "rb") as fh:
-        while chunk := fh.read(1 << 20):  # in chunks, so the scan holds no copy of the file
-            u = np.frombuffer(chunk, np.uint8)
-            ends.append(np.flatnonzero(u == 10) + (pos + 1))
-            if b"\r" in chunk:
-                crs.append(np.flatnonzero(u == 13) + (pos + 2))  # where its line ends if a \n follows
-            pos += len(chunk)
-    ends = np.concatenate(ends)
-    if crs and not np.isin(np.concatenate(crs), ends, assume_unique=True).all():
-        return None
-    start, ends = ends.item(first - 2), ends[first - 1 :]
-    if not ends.size or ends.item(-1) < pos:  # the last line has no line end
-        ends = np.append(ends, pos)
-    # a row holds two fields and a comma; a shorter line is blank, "\r\n" included, or numpy rejects it
-    return None if np.diff(ends, prepend=start).min() < 3 else (start, ends)
-
-
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with other threads (numpy's BLAS pool) may
@@ -220,40 +199,50 @@ def _read_file(name: str, size: int, first: int, width: int) -> np.ndarray | Non
     """The rows of the regular file ``name`` from data line ``first`` on, as an (n, width)
     float64 array, or None if numpy rejects a row; parsed in parts at once if it is large."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    parts = min(cpus, size // PART_BYTES, MAX_PARTS)
-    found = _line_ends(name, first) if parts > 1 else None
-    if found is None:
+    if (parts := min(cpus, size // PART_BYTES, MAX_PARTS)) < 2:
         return _read_rows(name, width, skiprows=first - 1, encoding="utf-8-sig")
     # a one-row read first loads what numpy's reader imports on first use, so the children import nothing
     if _read_rows(name, width, skiprows=first - 1, max_rows=1, encoding="utf-8-sig") is None:
         return None
-    start, ends = found
-    n = len(ends)
-    # part k starts after the line that holds the k-th equal share of the data bytes; an empty part is dropped
-    shares = start + (ends.item(-1) - start) * np.arange(1, parts) // parts
-    cuts = sorted({0, n, *(np.searchsorted(ends, shares) + 1).tolist()})
-    out = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
+    # part k starts after the first \n from byte size * k // parts on, and a \n ends a text line whatever
+    # the line ends around it; cuts that a long line carries to one place, or to the end, make one cut
+    with open(name, "rb") as fh:
+        cuts = sorted({0, size, *(fh.seek(size * k // parts) + len(fh.readline()) for k in range(1, parts))})
+    parts = len(cuts) - 1
+    # a row takes 2 * width bytes or more, a digit and a comma or line end per field (one less for a last
+    # row without a line end), so part k's rows fit in rows starts[k]:starts[k + 1] of the shared map,
+    # which the row count of each part heads
+    starts = np.cumsum([0, *((hi - lo) // (2 * width) + 1 for lo, hi in zip(cuts, cuts[1:]))]).tolist()
+    try:
+        shared = mmap.mmap(-1, 8 * (parts + starts[-1] * width))
+    except OSError:
+        return _read_rows(name, width, skiprows=first - 1, encoding="utf-8-sig")
+    counts = np.frombuffer(shared, np.int64, parts)
+    out = np.frombuffer(shared, float, offset=counts.nbytes).reshape(-1, width)
 
     def fill(k: int) -> bool:
-        lo, hi = cuts[k], cuts[k + 1]
-        rows = _read_rows(name, width, skiprows=first - 1 + lo, max_rows=hi - lo, encoding="utf-8-sig")
-        if rows is None or len(rows) != hi - lo:
+        with open(name, "rb") as fh:
+            fh.seek(cuts[k])
+            text = io.TextIOWrapper(io.BytesIO(fh.read(cuts[k + 1] - cuts[k])), "utf-8-sig" if k == 0 else "utf-8")
+        rows = _read_rows(text, width, skiprows=first - 1 if k == 0 else 0)
+        if rows is None or len(rows) > starts[k + 1] - starts[k]:
             return False
-        out[lo:hi] = rows
+        out[starts[k] : starts[k] + len(rows)], counts[k] = rows, len(rows)
         return True
 
     pids: list[int] = []
     ok = False
     try:
-        for k in range(1, len(cuts) - 1):
+        for k in range(parts):
             if (pid := _fork()) == 0:
                 try:
+                    warnings.simplefilter("ignore")  # numpy warns of a part that holds no row
                     os._exit(0 if fill(k) else 1)
                 finally:
                     os._exit(1)
             pids.append(pid)
-        ok = fill(0)
-    except OSError:  # no process for a part, or the file went: the line filter reads the open file
+        ok = True
+    except OSError:  # no process for a part: the line filter reads the open file
         pass
     finally:
         if not ok:
@@ -264,7 +253,13 @@ def _read_file(name: str, size: int, first: int, width: int) -> np.ndarray | Non
                 ok = os.waitpid(pid, 0)[1] == 0 and ok
             except OSError:
                 ok = False
-    return out if ok else None
+    if not ok:
+        return None
+    n = 0
+    for k, count in enumerate(counts.tolist()):  # join the parts in order
+        out[n : n + count] = out[starts[k] : starts[k] + count]
+        n += count
+    return out[:n]
 
 
 def _data_rows(path, fh: TextIO, line: str, first: int, width: int) -> np.ndarray:

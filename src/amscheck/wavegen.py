@@ -69,6 +69,8 @@ def _seg_knots(seg: dict, kind: str) -> list[tuple[float, float]]:
             fall = t + duty * period
             if fall < t1:
                 out.append((fall, lo_v))
+            if t + period == t:
+                raise TraceError(f"square segment period {period!r} is below the float resolution at t={t!r}")
             t += period
         out.append((t1, out[-1][1] if out else lo_v))
         return out

@@ -10,7 +10,9 @@ text over a fixed, seeded input set:
   in parts on a host with two CPUs or more: clean files with LF or CRLF line
   ends, a byte-order mark or no final line end, files with a comment,
   whitespace-only, blank, ``#kind``, malformed or non-UTF-8 line late among
-  the data, and one with a lone CR in the header;
+  the data, a lone CR in the header or among the data, a header longer
+  than half the file and a row padded by 1 MiB of blanks; stderr, outside
+  the digests, says how many of these files were parsed in parts;
 - ``stream``: ``amscheck stream`` output on each of those inputs' first
   stream window;
 - ``session``: `Session` verdicts (name, kind, interval, decided_at) on
@@ -68,6 +70,7 @@ from amscheck import (  # noqa: E402
     oracle_classify,
     parse_property,
     pretty,
+    trace,
 )
 
 FULL = {"size": "full", "seeds": (0, 1, 2), "split_rows": 60_000, "session": 150, "match": 1500, "codegen": 600,
@@ -121,7 +124,7 @@ def split_check_outputs(cfg: dict, work: Path) -> list[str]:
     t, sig = w.signals(3, cfg["split_rows"])
     header = "time," + ",".join(sig)
     rows = [",".join(map(repr, row)) for row in zip(t.tolist(), *(v.tolist() for v in sig.values()))]
-    late = len(rows) * 7 // 8  # in the last of two or more parts
+    late, mid = len(rows) * 7 // 8, len(rows) // 2  # in the last of two or more parts, and in the middle
 
     def text(body, end="\n", final=True, head=header) -> bytes:
         return (head + end + end.join(body) + (end if final else "")).encode("utf-8", "surrogateescape")
@@ -129,25 +132,42 @@ def split_check_outputs(cfg: dict, work: Path) -> list[str]:
     def inserted(line, at=late):
         return rows[:at] + [line] + rows[at:]
 
+    notes = ("# " + "-" * 77 + "\n") * (len(text(rows)) // 80 + 1)
+
     variants = [
         ("lf", text(rows)),
         ("crlf and bom", b"\xef\xbb\xbf" + text(rows, "\r\n")),
         ("no final line end", text(rows, final=False)),
         ("late comment", text(inserted("# a note"))),
         ("late whitespace-only line", text(inserted("  \t"))),
-        ("blank line", text(inserted("", len(rows) // 2))),
+        ("blank line", text(inserted("", mid))),
         ("late kind row", text(inserted("#kind,analog,analog,analog"))),
         ("late malformed row", text(inserted("1e9,abc,1,2"))),
         ("late non-UTF-8 byte", text(inserted("1e9,\udcff,1,2"))),
         ("lone CR in the header", text(rows, head="# exported\r" + header)),
+        ("lone CR among the data", text([*rows[:late], rows[late] + "\r" + rows[late + 1], *rows[late + 2 :]])),
+        # comment lines as long as the data, then a header row whose padding holds the middle byte
+        ("header longer than half the file", text(rows, head=notes + header + " " * 100_000)),
+        ("padded middle row", text([*rows[:mid], rows[mid] + " " * (1 << 20), *rows[mid + 1 :]])),
     ]
+    fork, parted = trace._fork, set()  # the files parsed by forked children, reported outside the digests
+
+    def counted():
+        parted.add(name)
+        return fork()
+
+    trace._fork = counted
     out = []
-    for name, data in variants:
-        (work / "trace.csv").write_bytes(data)
-        rep = work / "report.json"
-        rep.unlink(missing_ok=True)
-        got = _run_cli(["check", "trace.csv", "props.txt", "--report", "report.json"])
-        out.append(f"{name}\n{got}{rep.read_text() if rep.exists() else ''}")
+    try:
+        for name, data in variants:
+            (work / "trace.csv").write_bytes(data)
+            rep = work / "report.json"
+            rep.unlink(missing_ok=True)
+            got = _run_cli(["check", "trace.csv", "props.txt", "--report", "report.json"])
+            out.append(f"{name}\n{got}{rep.read_text() if rep.exists() else ''}")
+    finally:
+        trace._fork = fork
+    print(f"check_split: {len(parted)} of {len(variants)} files parsed in parts", file=sys.stderr)  # 0 on one CPU
     return out
 
 

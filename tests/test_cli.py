@@ -543,6 +543,43 @@ class TestGenwave:
         assert main(["genwave", "--out", str(tmp_path / "w.csv")]) == 2
 
 
+class TestLoopsEnd:
+    """Where one ulp of the time stamps exceeds the time tolerance, as at Unix-epoch times, or the
+    tolerance is 0, no float may lie between the ends of a bisection or after a square wave's edge.
+    Each run is a fresh process with a timeout and a cap on its address space, so a loop without
+    end fails the test instead of hanging it or filling memory."""
+
+    PROPS = "p: {V(x)*V(y)>1} |-> {V(x)>0};\n"  # not affine: the tracker bisects its crossings
+
+    @staticmethod
+    def bounded(argv, stdin=""):
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from amscheck.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        return subprocess.run([sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True,
+                              env=env, timeout=30)
+
+    @pytest.mark.parametrize("t0, tol", [(1.7e9, []), (0.0, ["--time-tol", "0"])], ids=["epoch", "no tolerance"])
+    def test_a_bisection_ends(self, tmp_path, t0, tol):
+        rows = [(t0, 0.3), (t0 + 1.0, 2.7), (t0 + 2.0, 0.1)]
+        trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        trace.write_text("time,x,y\n" + "".join(f"{t!r},{x!r},1\n" for t, x in rows))
+        props.write_text(self.PROPS)
+        run = self.bounded(["check", str(trace), str(props), *tol])
+        assert (run.returncode, run.stdout) == (0, "p  PASS  match=1 vacuous=2 fail=0 undetermined=0\n"), run.stderr
+        run = self.bounded(["stream", str(props), "--signals", "x,y", *tol], "".join(f"{t!r} {x!r} 1\n" for t, x in rows))
+        summary = json.loads(run.stdout.splitlines()[-1])["summary"]["p"]
+        assert run.returncode == 0 and [len(summary["match"]), len(summary["vacuous-end"])] == [1, 2], run.stderr
+
+    def test_a_square_wave_below_the_time_resolution_is_refused(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        segment = {"type": "square", "t0": 1.7e9, "t1": 1.7e9 + 1.0, "period": 1e-7}  # half an ulp is 1.2e-7
+        spec.write_text(json.dumps({"signals": {"clk": {"kind": "boolean", "segments": [segment]}}}))
+        run = self.bounded(["genwave", str(spec), "--out", str(tmp_path / "w.csv")])
+        assert run.returncode == 2
+        assert run.stderr == "error: square segment period 1e-07 is below the float resolution at t=1700000000.0\n"
+
+
 class TestCheckStreamEquivalence:
     def test_same_fail_intervals(self, escape_files, monkeypatch, capsys, tmp_path):
         trace_path, props = escape_files

@@ -2,8 +2,12 @@
 
 import csv
 import errno
+import io
+import mmap
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 import types
 import urllib.request
@@ -484,10 +488,34 @@ def no_child_left():
     return False
 
 
+# load_csv with small parts in a fresh process, so that numpy's warnings reach stderr; it prints
+# the number of children forked, the number of line-filter reads and the repr of `outcome`
+SPLIT_SCRIPT = """
+import io, os, sys
+sys.path.insert(0, sys.argv[4])
+from test_trace import outcome, trace
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+trace.PART_BYTES = int(sys.argv[3])
+fork, read_rows, log = trace._fork, trace._read_rows, {"forks": 0, "filtered": 0}
+
+def counted():
+    log["forks"] += 1
+    return fork()
+
+def spied(source, width, **file_args):
+    log["filtered"] += not isinstance(source, (str, io.TextIOBase))
+    return read_rows(source, width, **file_args)
+
+trace._fork, trace._read_rows = counted, spied
+got = outcome(sys.argv[1])
+print(log["forks"], log["filtered"], repr(got))
+"""
+
+
 class TestSplitRead:
-    """A large regular file is parsed in byte ranges at once: the caller parses the first,
-    a forked child each other.  ``PART_BYTES`` and the CPU count are patched here so that
-    small files split; the split read must give what the whole-file read gives."""
+    """A large regular file is cut into byte ranges just after a line feed, and a forked child
+    parses each.  ``PART_BYTES`` and the CPU count are patched here so that small files
+    split; the split read must give what the whole-file read gives."""
 
     @pytest.fixture
     def parts(self, monkeypatch):
@@ -502,7 +530,7 @@ class TestSplitRead:
             return pid
 
         def spied(source, width, **file_args):
-            log.filtered += not isinstance(source, str)
+            log.filtered += not isinstance(source, (str, io.TextIOBase))  # a part's text is a TextIOWrapper
             return read_rows(source, width, **file_args)
 
         def split(cpus, part_bytes=64):
@@ -534,7 +562,7 @@ class TestSplitRead:
             got = outcome(path)
             assert no_child_left()
             if len(log.forks) > forks:
-                split += 1
+                split += len(log.forks) > forks + 1
                 assert (log.filtered > filtered) == (not clean), text  # a clean file needs no filter
             assert got == self.whole(path, monkeypatch), text
         assert split >= 20
@@ -560,17 +588,88 @@ class TestSplitRead:
         assert no_child_left() and log.filtered == 0
         assert got == self.whole(path, monkeypatch)
         assert len(got[1]) == 2 and len(got[0]) == 8 * len(rows)
-        assert len(log.forks) == (1 if layout == "one long row" else 2 if "long last row" in layout else 3)
+        assert len(log.forks) == (2 if layout == "one long row" else 3 if "long last row" in layout else 4)
 
-    def test_a_lone_cr_before_the_first_row_keeps_the_whole_read(self, tmp_path, monkeypatch, parts):
-        """Text mode ends a line at a lone \\r, so counting \\n bytes would put the first row elsewhere."""
-        text = "# exported\rtime,x\n" + "".join(f"{i},{i % 7}\n" for i in range(200))
-        path = write_bytes(tmp_path, text)
+    @pytest.mark.parametrize(
+        "layout", ["lone CR in the header", "lone CR among the data", "lone CR line ends", "blank lines", "CRLF blank lines"]
+    )
+    def test_lone_cr_and_blank_line_files_split(self, tmp_path, monkeypatch, parts, layout):
+        """A line feed ends a text line whatever the line ends around it, so a cut just after one
+        falls between two lines; a file without one is a single part."""
+        rows = [f"{i * 0.25!r},{i % 7}" for i in range(200)]
+        if layout == "lone CR among the data":
+            rows[100:102] = [rows[100] + "\r" + rows[101]]
+        if layout.endswith("blank lines"):
+            for at in (150, 100, 50, 1):
+                rows.insert(at, "")
+        end = "\r" if layout == "lone CR line ends" else "\r\n" if layout.startswith("CRLF") else "\n"
+        head = "# exported\rtime,x" if layout == "lone CR in the header" else "time,x"
+        path = write_bytes(tmp_path, end.join([head, *rows]) + end)
         log = parts(4)
         got = outcome(path)
-        assert log.forks == [] and no_child_left()
+        assert no_child_left() and log.filtered == 0
         assert got == self.whole(path, monkeypatch)
-        assert np.frombuffer(got[0]).tolist() == [float(i) for i in range(200)]
+        assert np.frombuffer(got[0]).tolist() == [i * 0.25 for i in range(200)]
+        assert len(log.forks) == (1 if layout == "lone CR line ends" else 4)
+
+    @pytest.mark.parametrize("layout", ["long header row", "long comment before the header", "bad row"])
+    def test_a_header_longer_than_a_part(self, tmp_path, monkeypatch, layout):
+        """The first part then holds no row, for which numpy warns and gives shape (0, 1): it counts
+        as no row, and nothing reaches stderr.  A part that starts inside the header is rejected."""
+        rows = [f"{i},{i % 7}" for i in range(100)]
+        if layout == "bad row":
+            rows[60] = "60,abc"
+        head = ["# " + "x" * 3000, "time,x"] if layout.startswith("long comment") else ["time,x" + " " * 3000]
+        path = write_bytes(tmp_path, "\n".join([*head, *rows]) + "\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", SPLIT_SCRIPT, str(path), "2", "64", str(src.parent / "tests")],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        forks, filtered, got = run.stdout.rstrip("\n").split(" ", 2)
+        assert forks == "2" and got == repr(self.whole(path, monkeypatch))
+        assert (filtered == "0") == (layout == "long header row")  # a part that starts in the header is rejected
+
+    def test_a_part_over_its_row_bound_writes_nothing(self, tmp_path, monkeypatch, parts):
+        """A part's rows must fit the region its bytes bound; one more fails the part before it writes,
+        so no row reaches another part's region, and the file goes to the line filter."""
+        path = write_bytes(tmp_path, "time,x\n" + "".join(f"{i},{i % 7}\n" for i in range(400)))
+        want = self.whole(path, monkeypatch)
+        log = parts(4)
+        maps, make, read_rows = [], mmap.mmap, trace._read_rows
+
+        def kept(*args):
+            maps.append(make(*args))
+            return maps[-1]
+
+        def too_many(source, width, **file_args):
+            if isinstance(source, io.TextIOBase) and source.encoding == "utf-8-sig":  # the part at byte 0
+                return np.full((len(source.buffer.getvalue()) // (2 * width) + 2, width), 0.125)
+            return read_rows(source, width, **file_args)
+
+        monkeypatch.setattr(mmap, "mmap", kept)
+        monkeypatch.setattr(trace, "_read_rows", too_many)
+        assert outcome(path) == want
+        assert no_child_left() and len(log.forks) == 4 and log.filtered == 1
+        assert 0.125 not in np.frombuffer(maps[0], float)
+
+    def test_without_a_shared_map_the_file_is_read_whole(self, tmp_path, monkeypatch, parts):
+        path = write_bytes(tmp_path, "time,x\n" + "".join(f"{i},{i % 7}\n" for i in range(400)))
+        want = self.whole(path, monkeypatch)
+        log = parts(4)
+        calls, read_rows = [], trace._read_rows
+
+        def spied(source, width, **file_args):
+            calls.append("name" if isinstance(source, str) else "lines")
+            calls[-1] += "" if file_args.get("max_rows") is None else " part"
+            return read_rows(source, width, **file_args)
+
+        def no_map(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_map)
+        monkeypatch.setattr(trace, "_read_rows", spied)
+        assert outcome(path) == want
+        assert calls == ["name part", "name"] and log.forks == [] and no_child_left()
 
     @pytest.mark.parametrize(
         "line",
@@ -588,7 +687,7 @@ class TestSplitRead:
         got = outcome(path)
         assert no_child_left()
         assert got == self.whole(path, monkeypatch)
-        assert len(log.forks) == (0 if line == "" else 3)  # a blank line keeps the whole-file read
+        assert len(log.forks) == 4
         if line in ("# a note", "  \t", ""):
             assert len(np.frombuffer(got[0])) == 4000
         else:
@@ -597,7 +696,7 @@ class TestSplitRead:
     @pytest.mark.parametrize("at, line", [(390, "# a note"), (1, "oops,1")])
     def test_a_rejected_range_goes_straight_to_the_line_filter(self, tmp_path, monkeypatch, parts, at, line):
         """A comment among the data is parsed no more often than by the whole-file read: the
-        caller's range, then the line filter, and no read of the whole file by name between.
+        parts, then the line filter, and no read of the whole file by name between.
         A bad first row, which the one-row read finds, is not parsed again either."""
         lines = ["time,x"] + [f"{i},{i % 7}" for i in range(400)]
         lines.insert(at, line)
@@ -616,8 +715,8 @@ class TestSplitRead:
         assert no_child_left()
         if at > 1:
             assert np.frombuffer(got[0]).tolist() == [float(i) for i in range(400)]
-            # the one-row read that loads numpy's reader, the caller's range, then the filter
-            assert calls == ["name part", "name part", "lines"] and len(log.forks) == 1
+            # the one-row read that loads numpy's reader, then the filter; the parts read in the children
+            assert calls == ["name part", "lines"] and len(log.forks) == 2
         else:
             assert got[1] == f"{path}:2: could not convert string to float: 'oops'"
             # the one-row read, then the filter, which numpy rejects, so it bisects the lines
@@ -634,13 +733,6 @@ class TestSplitRead:
         if failure == "child exits 1":
             monkeypatch.setattr(trace, "_read_rows", lambda s, w, **f: None if os.getpid() != caller else
                                 read_rows(s, w, **f))
-        elif failure == "caller raises":
-            def interrupted(source, width, **file_args):
-                if os.getpid() == caller and file_args.get("max_rows", 1) > 1:
-                    raise KeyboardInterrupt
-                return read_rows(source, width, **file_args)
-
-            monkeypatch.setattr(trace, "_read_rows", interrupted)
         elif failure == "wait fails":
             waitpid = os.waitpid
 
@@ -655,6 +747,8 @@ class TestSplitRead:
             def no_process():
                 if len(log.forks) < 2:
                     return fork()
+                if failure == "caller raises":
+                    raise KeyboardInterrupt
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
             monkeypatch.setattr(trace, "_fork", no_process)
@@ -665,14 +759,14 @@ class TestSplitRead:
             assert outcome(path) == want
         monkeypatch.undo()
         assert no_child_left()
-        assert len(log.forks) == (2 if failure == "fork fails" else 3)
+        assert len(log.forks) == (2 if failure in ("caller raises", "fork fails") else 4)
 
     def test_at_most_max_parts(self, tmp_path, monkeypatch, parts):
         path = write_bytes(tmp_path, "time,x\n" + "".join(f"{i},{i % 7}\n" for i in range(400)))
         monkeypatch.setattr(trace, "MAX_PARTS", 3)
         log = parts(4)
         assert outcome(path) == self.whole(path, monkeypatch)
-        assert len(log.forks) == 2 and no_child_left() and log.filtered == 0
+        assert len(log.forks) == 3 and no_child_left() and log.filtered == 0
 
     def test_only_the_fork_warning_of_python_312_is_silenced(self, monkeypatch):
         """Python 3.12+ warns at a fork of a process with other threads, as numpy's BLAS pool is."""
