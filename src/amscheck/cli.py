@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .ast import horizon
 from .atoms import build_table
 from .engine import assertion_match
 from .errors import AmscheckError, ProtocolError, open_utf8
-from .intervals import TIME_TOL, Interval, IntervalSet, Key, extend_in_order, key_text
+from .intervals import KEY_TEXT, TIME_TOL, Interval, IntervalSet, Key, extend_in_order
 from .online import Session
 from .parser import VALUE_TOL, parse_file
 
@@ -45,13 +46,16 @@ def _key_row(k: Key) -> list:
 # The check report as json.dumps(doc, indent=2, sort_keys=True) writes it.  That
 # call runs the pure-Python encoder, so the verdict rows are written here from
 # the component keys instead.  Every endpoint lies in the trace domain, which
-# is finite, so json would write it with float.__repr__ too.
-_ROW = "        [\n          %s,\n          %s,\n          %s,\n          %s\n        ]"
+# is finite, so json would write it with float.__repr__ too.  A set's rows are
+# lo, _SEP, hi and a tail, which holds both flags and the opening of the next
+# row: _TAIL[lo_open][hi_closed]; the last row's tail loses that opening.
+_SEP = ",\n          "
+_NEXT = ",\n        [\n          "
+_TAIL = [[_SEP + lo + _SEP + hi + "\n        ]" + _NEXT for hi in ("false", "true")] for lo in ("true", "false")]
 _ASSERTION = (
     '    {\n      "fail": %s,\n      "horizon": %s,\n      "name": %s,\n      "nonvacuous": %s,\n'
     '      "undetermined": %s,\n      "vacuous": %s\n    }'
 )
-_BOOL = ("false", "true")
 
 
 def _assertion_text(r) -> str:
@@ -69,8 +73,8 @@ def _assertion_text(r) -> str:
             return "[]"
         cells = []
         for lo, lo_open, hi, hi_closed in s.keys:
-            cells += (get(lo) or num(lo), get(hi) or num(hi), _BOOL[not lo_open], _BOOL[hi_closed])
-        return "[\n" + ",\n".join([_ROW] * len(s.keys)) % tuple(cells) + "\n      ]"
+            cells += (get(lo) or num(lo), _SEP, get(hi) or num(hi), _TAIL[lo_open][hi_closed])
+        return "[\n        [\n          " + "".join(cells)[: -len(_NEXT)] + "\n      ]"
 
     return _ASSERTION % (rows(r.fail), json.dumps(r.horizon), json.dumps(r.name), rows(r.nonvacuous),
                          rows(r.undetermined), rows(r.vacuous))
@@ -107,27 +111,34 @@ def _pick(props, name_filter):
 
 
 def cmd_check(args) -> int:
-    # load_csv, parse_file, build_table and assertion_match are looked up in
-    # this module when the command runs, so a caller can wrap them
-    trace = load_csv(args.trace)
-    props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
-    table = build_table(trace, props, eps=args.time_tol)
-    reports = [assertion_match(p, table) for p in props]
-    if args.report:
-        with open(args.report, "w") as f:
-            write_report(f, args.trace, trace.domain, args.time_tol, reports)
-    width = max(len(r.name) for r in reports)
-    lines = []
-    for r in reports:
-        status = "FAIL" if not r.fail.is_empty else "PASS"
-        lines.append(
-            f"{r.name:<{width}}  {status}  match={len(r.nonvacuous)}"
-            f" vacuous={len(r.vacuous)} fail={len(r.fail)}"
-            f" undetermined={len(r.undetermined)}"
-        )
-        lines.extend(f"{'':<{width}}  fail at {key_text(k)}" for k in r.fail.keys)
-    print("\n".join(lines))
-    return 1 if any(not r.fail.is_empty for r in reports) else 0
+    # a check builds some 10^5 acyclic tuples that the cyclic collector would sweep to free nothing: pause it
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # load_csv, parse_file, build_table and assertion_match are looked up in
+        # this module when the command runs, so a caller can wrap them
+        trace = load_csv(args.trace)
+        props = _pick(_load_assertions(args.assertions, args.value_tol), args.assert_name)
+        table = build_table(trace, props, eps=args.time_tol)
+        reports = [assertion_match(p, table) for p in props]
+        if args.report:
+            with open(args.report, "w") as f:
+                write_report(f, args.trace, trace.domain, args.time_tol, reports)
+        width = max(len(r.name) for r in reports)
+        fail_at = "\n" + " " * width + "  fail at " + KEY_TEXT
+        lines = []
+        for r in reports:
+            keys = r.fail.keys
+            lines.append(
+                f"{r.name:<{width}}  {'FAIL' if keys else 'PASS'}  match={len(r.nonvacuous)}"
+                f" vacuous={len(r.vacuous)} fail={len(keys)} undetermined={len(r.undetermined)}"
+                + (fail_at * len(keys)) % tuple([c for lo, a, hi, b in keys for c in ("[("[a], lo, hi, ")]"[b])])
+            )
+        print("\n".join(lines))
+        return 1 if any(not r.fail.is_empty for r in reports) else 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def cmd_stream(args) -> int:

@@ -58,6 +58,9 @@ TIME_TOL = 1e-9
 #: One component as ``(lo, lo_open, hi, hi_closed)``; see the module docstring.
 Key = tuple[float, bool, float, bool]
 
+#: A component's text, ``%`` over ``(opening bracket, lo, hi, closing bracket)``; see `key_text`.
+KEY_TEXT = "%s%g:%g%s"
+
 
 class Interval(Node):
     """A convex subset of the real line with open/closed endpoints.
@@ -115,7 +118,7 @@ class Interval(Node):
 
 def key_text(k: Key) -> str:
     """A component as ``[lo:hi]``, with ``(`` or ``)`` at an open end and ``%g`` numbers."""
-    return "%s%g:%g%s" % ("[("[k[1]], k[0], k[2], ")]"[k[3]])
+    return KEY_TEXT % ("[("[k[1]], k[0], k[2], ")]"[k[3]])
 
 
 def _contains(k: Key, t: float) -> bool:

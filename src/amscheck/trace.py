@@ -288,7 +288,10 @@ def load_csv(path) -> Trace:
     data = None
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
+            try:
+                row = [c.strip() for c in next(csv.reader([line]), [])] or [""]
+            except csv.Error as e:  # a field over csv.field_size_limit(), 128 KiB unless raised
+                raise TraceError(f"{path}:{lineno}: {e}") from None
             if row == [""] or (header is None and row[0].startswith("#")):
                 continue
             if header is None:

@@ -1,6 +1,7 @@
 """Command-line harness tests, driven in-process through main()."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -192,6 +193,37 @@ class TestCheck:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["check", str(trace), str(empty)]) == 2
+
+    @pytest.mark.parametrize("was_on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "trace_text, props_text, code",
+        [
+            ("time,x\n0,0\n1,1\n2,0\n", "p: {V(x)>0.5} |-> {V(x)>0};\n", 0),
+            ("time,x\n0,0\n1,1\n2,0\n", "p: {V(x)>0.5} |-> {V(x)>2};\n", 1),
+            ("time,x\n0,0\n1,abc\n", "p: {V(x)>0.5} |-> {V(x)>0};\n", 2),
+            ("time,x\n0,0\n1,1\n2,0\n", "{V(x)>1} |-> ;\n", 2),
+            (None, "p: {V(x)>0.5} |-> {V(x)>0};\n", 2),
+        ],
+        ids=["pass", "fail", "malformed-trace", "malformed-assertions", "missing-trace"],
+    )
+    def test_collector_left_as_the_caller_had_it(self, tmp_path, monkeypatch, capsys, trace_text, props_text, code,
+                                                 was_on):
+        """`check` pauses the cyclic collector, and on every exit turns it on again only if it was on before."""
+        trace, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        if trace_text is not None:
+            trace.write_text(trace_text)
+        props.write_text(props_text)
+        seen = []
+        real = cli.load_csv
+        monkeypatch.setattr(cli, "load_csv", lambda path: seen.append(gc.isenabled()) or real(path))
+        before = gc.isenabled()
+        (gc.enable if was_on else gc.disable)()
+        try:
+            assert main(["check", str(trace), str(props)]) == code
+            assert gc.isenabled() is was_on
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False]
 
     def test_assert_name_filter(self, settle_files, capsys):
         trace, props = settle_files
@@ -625,6 +657,8 @@ class TestNoTraceback:
         "spec-header-not-utf8": ("genwave", b'\xfe{"signals": {}}\n'),
         # a leading byte-order mark is not counted as a column
         "trace-bom-header-not-utf8": ("trace", b"\xef\xbb\xbftime,x\xff\n0,1\n1,2\n"),
+        # a comment before the header with a field over csv.field_size_limit()
+        "trace-comment-field-too-large": ("trace", b"# " + b"x" * 200_000 + b"\ntime,x\n0,1\n1,2\n"),
     }
     # (line, column) of the first byte that is not UTF-8, and that byte
     NOT_UTF8 = {

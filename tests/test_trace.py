@@ -173,6 +173,10 @@ class TestCsvDialect:
             ("# header follows\ntime,x,x\n0,1,2\n1,2,3\n", 2),  # duplicate names
             ("\nt,x\n0,1\n1,2\n", 2),  # first column is not time
             ("time\n0\n1\n", 1),  # no signal column
+            # a field over csv.field_size_limit() before the first data row: a comment, the header, #kind
+            pytest.param("\n# " + "x" * 200_000 + "\ntime,x\n0,1\n1,2\n", 2, id="comment-field-too-large"),
+            pytest.param("time,x" + "y" * 200_000 + "\n0,1\n1,2\n", 1, id="header-field-too-large"),
+            pytest.param("time,x\n#kind,analog" + " " * 200_000 + "\n0,1\n1,2\n", 2, id="kind-field-too-large"),
         ],
     )
     def test_malformed_input_names_its_line(self, tmp_path, text, lineno):
