@@ -6,17 +6,19 @@ interval arithmetic, so matches are located at crossing instants, not
 at sample points.  Includes a streaming checker, a brute-force grid
 oracle for differential testing, and a Verilog-AMS monitor generator.
 
-Importing the package loads no numpy.  A name of the trace, oracle,
-wavegen or codegen module (see `_LAZY`) imports that module on its first
-access, so parsing, a `Session` and the engine over an `AtomTable` never
-load numpy.
+Importing the package loads only the parser (`errors`, `expr`, `ast`,
+`parser`).  Every other name in `_LAZY`, and each module named there,
+such as `amscheck.engine`, imports its module on first access: `atoms`
+for `AtomTable` and `build_table`, `engine` for `MatchReport` and
+`assertion_match`, `intervals` for `Interval`, `IntervalSet`, `TIME_TOL`
+and the set operations, `online` for `Session`, `Verdict` and
+`Obligation`.  Only the trace, oracle, wavegen and codegen names load
+numpy, so a `Session` and the engine over an `AtomTable` run without it.
 """
 
 import importlib
 
 from .ast import Property, collect_atoms, depth, horizon, pretty, validate
-from .atoms import AtomTable, build_table
-from .engine import MatchReport, assertion_match
 from .errors import (
     AmscheckError,
     BoundError,
@@ -33,24 +35,17 @@ from .errors import (
     UnsupportedFeatureError,
     ValidationError,
 )
-from .intervals import (
-    TIME_TOL,
-    Interval,
-    IntervalSet,
-    minkowski_diff_set,
-    minkowski_sum_set,
-    set_complement,
-    set_difference,
-    set_intersect,
-    set_union,
-)
-from .online import Obligation, Session, Verdict
 from .parser import parse_file, parse_property
 
 __version__ = "0.1.0"
 
 # name -> the module that defines it, imported on the name's first access
 _LAZY = {
+    **dict.fromkeys(("AtomTable", "build_table"), "atoms"),
+    **dict.fromkeys(("MatchReport", "assertion_match"), "engine"),
+    **dict.fromkeys(("TIME_TOL", "Interval", "IntervalSet", "minkowski_diff_set", "minkowski_sum_set",
+                     "set_complement", "set_difference", "set_intersect", "set_union"), "intervals"),
+    **dict.fromkeys(("Obligation", "Session", "Verdict"), "online"),
     **dict.fromkeys(("Trace", "load_csv", "save_csv"), "trace"),
     **dict.fromkeys(("oracle_classify", "grid_resolves"), "oracle"),
     **dict.fromkeys(("generate", "fixture_spec", "fixture_trace", "load_spec"), "wavegen"),
@@ -59,6 +54,8 @@ _LAZY = {
 
 
 def __getattr__(name: str):
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

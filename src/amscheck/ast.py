@@ -10,6 +10,7 @@ here as ``expr > 0`` or ``expr >= 0``, possibly under a negation.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Union
 
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
@@ -186,21 +187,31 @@ def _check_node(n) -> None:
     elif isinstance(n, Repeat):
         if n.dur <= 0:
             raise RecurrenceError(f"recurrence [*{n.dur:g}] needs a positive duration{_fmt_pos(n.pos)}")
+        if not math.isfinite(n.dur):
+            raise BoundError(f"recurrence [*{n.dur:g}] needs a finite duration{_fmt_pos(n.pos)}")
     elif isinstance(n, (RepeatUntil, Delay)):
-        if n.lo < 0 or n.hi < n.lo:
-            raise BoundError(f"bounds [{n.lo:g}:{n.hi:g}] need 0 <= a <= b{_fmt_pos(n.pos)}")
+        _check_window(n.lo, n.hi, n.pos)
+
+
+def _check_window(a: float, b: float, pos: Optional[tuple[int, int]] = None) -> None:
+    if a < 0 or b < a:
+        raise BoundError(f"bounds [{a:g}:{b:g}] need 0 <= a <= b{_fmt_pos(pos)}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise BoundError(f"bounds [{a:g}:{b:g}] need finite values{_fmt_pos(pos)}")
 
 
 def validate(p: Property) -> Property:
-    """Check structural rules; returns ``p`` unchanged on success."""
+    """Check structural rules, and that every bound, the antecedent's `depth`
+    and the `horizon` are finite; returns ``p`` unchanged on success."""
     for n in iter_nodes(p.antecedent):
         _check_node(n)
     if p.delay is not None:
-        a, b = p.delay
-        if a < 0 or b < a:
-            raise BoundError(f"bounds [{a:g}:{b:g}] need 0 <= a <= b")
+        _check_window(*p.delay)
     for n in iter_nodes(p.consequent):
         _check_node(n)
+    reach, span = depth(p.antecedent), horizon(p)
+    if not (math.isfinite(reach) and math.isfinite(span)):
+        raise BoundError(f"antecedent depth {reach:g} and horizon {span:g} must be finite")
     return p
 
 

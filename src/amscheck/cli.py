@@ -8,8 +8,9 @@ genwave (synthetic trace CSV from a waveform spec).
 Exit codes: 0 clean, 1 at least one fail interval/verdict, 2 usage,
 IO (including input that is not UTF-8), parse, or protocol errors.
 
-The trace, oracle, wavegen and codegen modules are imported by the
-commands that use them, so stream and codegen never load numpy.
+The online, trace, oracle, wavegen and codegen modules are imported by
+the commands that use them, so check loads no streaming code and stream
+and codegen never load numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .atoms import build_table
 from .engine import assertion_match
 from .errors import AmscheckError, ProtocolError, open_utf8
 from .intervals import KEY_TEXT, TIME_TOL, Interval, IntervalSet, Key, extend_in_order
-from .online import Session
 from .parser import VALUE_TOL, parse_file
 
 REPORT_VERSION = 1
@@ -142,6 +142,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    from .online import Session
+
     kinds = {}
     for part in args.signals.split(","):
         part = part.strip()

@@ -32,6 +32,7 @@ from .trace import Trace
 
 _TOL = 1e-9
 _REFINE = 8  # how much finer than dt the resolution check samples
+_MAX_TICKS = 10_000_000  # the most points a grid may hold: 80 MB per float vector on it
 
 
 def _bounds_of(p: ast.Property) -> list[float]:
@@ -58,8 +59,15 @@ def _grid(trace: Trace, p: ast.Property, dt: float) -> np.ndarray:
 
 
 def _ticks(lo: float, hi: float, step: float) -> np.ndarray:
-    """``lo + k*step`` for every k that reaches no further than ``hi`` (to within _TOL steps)."""
-    return lo + step * np.arange(math.floor((hi - lo) / step + _TOL) + 1)
+    """``lo + k*step`` for every k that reaches no further than ``hi`` (to within _TOL steps).
+
+    A grid of more than ``_MAX_TICKS`` points raises GridError before
+    anything is allocated, so `grid_resolves` then returns False.
+    """
+    last = (hi - lo) / step + _TOL
+    if not last < _MAX_TICKS:
+        raise GridError(f"dt={step:g} over [{lo:g}, {hi:g}] needs {last + 1:.4g} grid points, more than {_MAX_TICKS}")
+    return lo + step * np.arange(math.floor(last) + 1)
 
 
 def _sample(trace: Trace, name: str, t: np.ndarray) -> np.ndarray:

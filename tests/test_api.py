@@ -42,6 +42,40 @@ print(json.dumps([undir, [n for n in amscheck.__all__ if n not in globals()]]))
     assert fresh_python(code) == [[], []]
 
 
+def test_import_and_parse_load_only_the_parser():
+    """`import amscheck` and `parse_file` load no engine, streaming, trace or
+    CLI module; a module and a public name each load their module on first
+    access, and the `Session` name loads the streaming module."""
+    code = """
+import json, sys
+import amscheck
+amscheck.parse_file("a: {V(x)>0} |-> ##[0:1] {V(x)>1};")
+engine_modules = ["amscheck.atoms", "amscheck.intervals", "amscheck.engine", "amscheck.online"]
+parsed = [m for m in engine_modules + ["amscheck.trace", "amscheck.cli", "numpy"] if m in sys.modules]
+classify = callable(amscheck.engine.classify)
+after_engine = [m for m in engine_modules if m in sys.modules]
+amscheck.Session
+print(json.dumps([parsed, classify, after_engine, "amscheck.online" in sys.modules]))
+"""
+    assert fresh_python(code) == [[], True, ["amscheck.atoms", "amscheck.intervals", "amscheck.engine"], True]
+
+
+def test_check_loads_no_streaming_code(tmp_path):
+    """`amscheck check` runs without loading the streaming module."""
+    props = tmp_path / "p.txt"
+    props.write_text("a: {V(x)>0.5} |-> ##[0:1] {V(x)<0};\n")
+    csv = tmp_path / "t.csv"
+    csv.write_text("time,x\n0,0\n1,1\n2,3\n")
+    code = """
+import contextlib, io, json, sys
+import amscheck.cli as cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["check", *sys.argv[1:]])
+print(json.dumps([code, out.getvalue().count("fail at"), "amscheck.online" in sys.modules]))
+"""
+    assert fresh_python(code, str(csv), str(props)) == [1, 1, False]
+
+
 def test_parse_and_session_load_no_numpy():
     """Parsing the stream workload's assertion and streaming it through a
     `Session` load neither numpy, nor the batch and reference modules, nor

@@ -534,6 +534,16 @@ class TestOracle:
         trace, props = settle_files
         assert main(["oracle", str(trace), str(props), "--dt", "0.5"]) == 2
 
+    def test_tiny_dt_without_traceback(self, settle_files):
+        # numpy refuses a grid this size outright, so the case allocates none even without the cap
+        trace, props = settle_files
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        run = subprocess.run([sys.executable, "-m", "amscheck.cli", "oracle", str(trace), str(props), "--dt", "1e-300"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "error: dt=1e-300 over [0, 0.008] needs 8e+297 grid points, more than 10000000\n"
+
 
 class TestCodegen:
     def test_codegen_to_file(self, tmp_path):
@@ -659,6 +669,9 @@ class TestNoTraceback:
         "trace-bom-header-not-utf8": ("trace", b"\xef\xbb\xbftime,x\xff\n0,1\n1,2\n"),
         # a comment before the header with a field over csv.field_size_limit()
         "trace-comment-field-too-large": ("trace", b"# " + b"x" * 200_000 + b"\ntime,x\n0,1\n1,2\n"),
+        # a bound that overflows to inf, and finite bounds whose sum does
+        "assertions-bound-not-finite": ("assertions", b"p: {V(x)>0} |-> ##[0:1e309] {V(x)>0};\n"),
+        "assertions-horizon-not-finite": ("assertions", b"p: {V(x)>0} |-> ##[0:1e308] {V(x)>0}[*1e308];\n"),
     }
     # (line, column) of the first byte that is not UTF-8, and that byte
     NOT_UTF8 = {

@@ -179,6 +179,24 @@ class TestErrors:
         with pytest.raises(BoundError):
             parse_property("{x} |-> ##[-0.001:0.004] {y};")
 
+    @pytest.mark.parametrize("text,msg", [
+        ("{x} |-> ##[0:1e309] {y};", "bounds [0:inf] need finite values"),
+        ("{x} ##[1e309:1e309] {y} |-> {z};", "bounds [inf:inf] need finite values (at line 1, col 7)"),
+        ("{x}[*1e309] |-> {y};", "recurrence [*inf] needs a finite duration (at line 1, col 4)"),
+        ("{x}[*0:1e309] {y} |-> {z};", "bounds [0:inf] need finite values (at line 1, col 4)"),
+        # finite bounds whose sum overflows
+        ("{V(x)>0}[*1e308] ##[0:1e308] {y} |-> {z};", "antecedent depth inf and horizon 0 must be finite"),
+        ("{x} |-> ##[0:1e308] {y}[*1e308];", "antecedent depth 0 and horizon inf must be finite"),
+    ])
+    def test_non_finite_bound(self, text, msg):
+        with pytest.raises(BoundError) as exc:
+            parse_property(text)
+        assert str(exc.value) == msg
+
+    def test_largest_finite_bounds_pass(self):
+        p = parse_property("{x}[*1e308] |-> ##[0:1e308] {y};")
+        assert (depth(p.antecedent), horizon(p)) == (1e308, 1e308)
+
     def test_negative_recurrence(self):
         with pytest.raises(RecurrenceError):
             parse_property("{x}[*-0.5] |-> {y};")

@@ -10,6 +10,7 @@ import pytest
 
 from _corpus import decimal_trace, random_property
 from amscheck import (
+    BoundError,
     Interval,
     IntervalSet,
     Property,
@@ -28,6 +29,7 @@ from amscheck import (
     set_union,
 )
 from amscheck import online
+from amscheck.ast import Delay, Repeat
 from amscheck.engine import _Evaluator
 from amscheck.wavegen import fixture_trace
 
@@ -358,6 +360,19 @@ class TestNonFinite:
         s.feed(0.0, {"x": 0.0})
         with pytest.raises(ProtocolError, match="non-finite"):
             s.feed(t, {"x": 1.0})
+
+
+    @pytest.mark.parametrize("where,msg", [("antecedent", "antecedent depth inf"), ("consequent", "horizon inf")])
+    def test_infinite_lookback_rejected(self, where, msg):
+        """A property built without the parser whose finite bounds sum to an
+        infinite antecedent depth or horizon, which would never be decided
+        before `finalize` nor trimmed, is refused when the session starts."""
+        p = parse_property("{V(x)>0.5}[*1] ##[0:1] {V(x)>1} |-> {V(x)<2}[*1] ##[0:1] {V(x)>0};")
+        seq = getattr(p, where)
+        big = Property(**{"antecedent": p.antecedent, "consequent": p.consequent,
+                          where: Delay(Repeat(seq.left.seq, 1e308), 0.0, 1e308, seq.right)})
+        with pytest.raises(BoundError, match=msg):
+            Session([big], {"x": "analog"})
 
 
 def tiled_trace(rng, names, tile_len, tiles):

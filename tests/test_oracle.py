@@ -119,6 +119,30 @@ class TestGridPreconditions:
             oracle_classify(tr, p, dt=1.9e-6)  # tightest sample gap is smaller
 
 
+    def test_grid_over_the_point_cap(self, monkeypatch):
+        """`_ticks` refuses a grid of more than `_MAX_TICKS` points (patched
+        small here) before building it, so the oracle, the resolution check
+        and the clocked sampler raise GridError and `grid_resolves` is False."""
+        from amscheck import oracle
+        from amscheck.clocked import sample_on_clock
+
+        monkeypatch.setattr(oracle, "_MAX_TICKS", 100)
+        assert len(_ticks(0.0, 0.99, 0.01)) == 100
+        with pytest.raises(GridError, match=r"^dt=0\.01 over \[0, 1\] needs 101 grid points, more than 100$"):
+            _ticks(0.0, 1.0, 0.01)
+        with pytest.raises(GridError, match="needs inf grid points"):
+            _ticks(0.0, 1.0, 1e-320)
+        tr = Trace([0.0, 1.0, 2.0], {"x": [0.0, 1.0, 0.0]})
+        p = parse_property("{V(x)>0.5} |-> {V(x)<2};")
+        assert grid_resolves(tr, p, 0.2)
+        assert not grid_resolves(tr, p, 0.1)  # the resolution check's grid holds 161 points
+        with pytest.raises(GridError, match="dt=0.01 over"):
+            oracle_classify(tr, p, 0.01)
+        assert len(sample_on_clock(tr, p.antecedent.bexpr, 0.025)) == 81
+        with pytest.raises(GridError, match="needs 201 grid points"):
+            sample_on_clock(tr, p.antecedent.bexpr, 0.01)
+
+
 class TestEngineAgreement:
     def test_settling_agreement(self):
         tr = fixture_trace("settling")
