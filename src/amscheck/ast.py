@@ -137,6 +137,69 @@ def horizon(p: Property) -> float:
     return extra + depth(p.consequent)
 
 
+MAX_OFFSETS = 256  # `offsets` gives up past this many shifts
+
+
+class _Capped(Exception):
+    pass
+
+
+def _sums(shifts: set[float], adds: tuple[float, ...], more: frozenset[float] = frozenset()) -> set[float]:
+    """``shifts`` plus each of ``adds``, with ``more``; raises `_Capped` past `MAX_OFFSETS`."""
+    out = {o + d for o in shifts for d in adds} | more
+    if len(out) > MAX_OFFSETS:
+        raise _Capped
+    return out
+
+
+def _end_shifts(s: SeqExpr) -> set[float]:
+    """The shifts on the way to an endpoint of ``s``'s end matches: the forward images of `engine`'s `end`."""
+    if isinstance(s, SeqBool):
+        return {0.0}
+    first = _end_shifts(children(s)[0])
+    if isinstance(s, Repeat):
+        return _sums(first, (0.0, s.dur))
+    if isinstance(s, Delay):
+        return _sums(first, (s.lo, s.hi), _end_shifts(s.right))
+    return _sums(first, (0.0, s.lo), _end_shifts(s.cont))
+
+
+def _begin_shifts(s: SeqExpr, restrict: set[float]) -> set[float]:
+    """The shifts on the way to an endpoint of ``s``'s begin matches within a set whose
+    endpoints carry the shifts ``restrict``: the backward images of `engine`'s `begin`."""
+    if isinstance(s, SeqBool):
+        return _sums(restrict, (0.0,), {0.0})
+    ends = restrict | _end_shifts(s)
+    if isinstance(s, Repeat):
+        return _begin_shifts(s.seq, _sums(ends, (-s.dur,)))
+    first = children(s)[0]
+    return _begin_shifts(first, _sums(ends, (-s.lo, -s.hi), _end_shifts(first)))
+
+
+def offsets(p: Property) -> tuple[float, ...] | None:
+    """The shifts, ascending, that the engine applies to an atom run boundary or a domain edge
+    before it becomes an endpoint of one of ``p``'s verdict sets, or None past `MAX_OFFSETS`.
+
+    An end match adds the hold (`Repeat`), both delay bounds (`Delay`) or
+    the least hold (`RepeatUntil`), a begin match subtracts them, and so
+    does the leading delay.  Built by the engine's own set rules, the set
+    may hold a shift that no endpoint takes, never miss one.  Every shift
+    lies in ``[-horizon(p), reach(p)]``.
+    """
+    lo, hi = p.delay or (0.0, 0.0)
+    try:
+        return tuple(sorted(_sums(_begin_shifts(p.consequent, {0.0}), (-lo, -hi), _end_shifts(p.antecedent))))
+    except _Capped:
+        return None
+
+
+def reach(p: Property) -> float:
+    """A bound on the largest shift in `offsets`, without building them.  It passes the
+    antecedent's `depth` where an inner ``##`` aligns its right operand's end: a run of ``b``
+    starting at t moves the begin matches of ``{a} ##[0:0] {b}[*1]`` to t + 1."""
+    return max(depth(p.antecedent), depth(p.consequent) - (p.delay[0] if p.delay else 0.0))
+
+
 def children(node) -> tuple:
     """Direct sub-nodes in source order; atoms, events included, are leaves."""
     if isinstance(node, ATOMS):
@@ -200,9 +263,18 @@ def _check_window(a: float, b: float, pos: Optional[tuple[int, int]] = None) -> 
         raise BoundError(f"bounds [{a:g}:{b:g}] need finite values{_fmt_pos(pos)}")
 
 
+MAX_NESTING = 100  # levels a property may nest: the walks over it recurse once or more per level
+
+
 def validate(p: Property) -> Property:
-    """Check structural rules, and that every bound, the antecedent's `depth`
-    and the `horizon` are finite; returns ``p`` unchanged on success."""
+    """Check the nesting first, then structural rules, and that every bound, the
+    antecedent's `depth` and the `horizon` are finite; returns ``p`` unchanged on success."""
+    stack = [(p, 0)]
+    while stack:
+        n, level = stack.pop()
+        if level > MAX_NESTING:
+            raise BoundError(f"assertion nests deeper than {MAX_NESTING} levels")
+        stack.extend((c, level + 1) for c in children(n))
     for n in iter_nodes(p.antecedent):
         _check_node(n)
     if p.delay is not None:

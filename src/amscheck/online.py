@@ -7,10 +7,16 @@ assertion has a decision horizon: how far past an instant the trace
 must extend before that instant's verdict is final.  As samples arrive,
 the trackers extend atom truth runs; once the stream passes
 t + horizon, t is decided.  Verdicts are slices of the offline
-partition: each feed step runs `engine.classify` on the window from
-the assertion's frontier up to now - horizon and emits its match and
-fail pieces.  A window no wider than the time tolerance waits for the
-next sample, as normalization would drop it.  So does every window while
+partition: each feed step takes the window from the assertion's
+frontier up to now - horizon and emits its match and fail pieces.  It
+runs `engine.classify` on the window unless the window is quiet: no run
+boundary of the assertion's atoms, and no stream start, moved by one of
+the shifts of `ast.offsets`, falls in it or on the frontier, and the
+frontier's kind is not a match of an assertion with a horizon.  All of a
+quiet window has the frontier's kind, and the step emits it as
+`classify` would have, so verdicts are the same either way.  A window
+no wider than the time tolerance waits for the next sample, as
+normalization would drop it.  So does every window while
 the latest truth run boundary lies within the time tolerance before the
 newest sample (one pass over the trackers): the run begun or ended there
 is a sliver that normalization would also drop, and offline the same
@@ -41,6 +47,7 @@ number of vacuous components, not with the samples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from operator import attrgetter
 
 from . import ast
@@ -78,14 +85,20 @@ class Obligation(Node):
 
 
 class _PropState:
-    __slots__ = ("prop", "name", "horizon", "lookback", "frontier", "vacuous")
+    __slots__ = ("prop", "name", "horizon", "lookback", "reach", "offsets", "trackers", "frontier", "kind", "loud_until",
+                 "vacuous")
 
     def __init__(self, prop: ast.Property, name: str):
         self.prop = prop
         self.name = name
         self.horizon = ast.horizon(prop)
         self.lookback = ast.depth(prop.antecedent) + self.horizon
+        self.reach = ast.reach(prop)
+        self.offsets = ast.offsets(prop)
+        self.trackers: tuple = ()  # the trackers of its atoms
         self.frontier = float("-inf")
+        self.kind: str | None = None  # the verdict kind at the frontier, once known
+        self.loud_until = float("-inf")  # no window is quiet before the frontier passes this
         self.vacuous: list[Key] = []  # vacuous components up to the frontier, normalized
 
 
@@ -109,6 +122,9 @@ class Session:
         self.eps = eps
         self._atoms = dict.fromkeys(a for st in self.props for a in ast.collect_atoms(st.prop))
         self._trackers = trackers(self._atoms, self.kinds, eps)
+        for st in self.props:
+            bases = dict.fromkeys(a.pred if isinstance(a, ast.EventAtom) else a for a in ast.collect_atoms(st.prop))
+            st.trackers = tuple(self._trackers[b] for b in bases)
         self._event_porvs = tuple(self._trackers[a.pred] for a in self._atoms
                                   if isinstance(a, ast.EventAtom) and isinstance(a.pred, ast.Porv))
         self._t0: float | None = None
@@ -163,15 +179,24 @@ class Session:
         if now is None:
             return out
         ev = None
+        moved = False
         for st in self.props:
             upto = now - st.horizon
             # a window no wider than eps would normalize away: let it grow
             if upto < self._t0 or not _apart(st.frontier, upto, self.eps):
                 continue
+            moved = True
+            if st.frontier > st.loud_until and self._quiet(st, upto):
+                if st.kind == "vacuous":
+                    extend_in_order(st.vacuous, [(st.frontier, True, upto, True)], self.eps)
+                else:
+                    out.append(Verdict(st.name, st.kind, Interval(st.frontier, upto, False, True), t))
+                st.frontier = upto
+                continue
             if ev is None:
                 ev = _Evaluator(self._snapshot())
             out.extend(Verdict(st.name, kind, Interval.from_key(k), t) for k, kind in self._decide(st, ev, upto))
-        if ev is not None:
+        if moved:
             self._trim()
         return out
 
@@ -216,21 +241,60 @@ class Session:
 
     # -- internals ------------------------------------------------------
 
+    def _quiet(self, st: _PropState, upto: float) -> bool:
+        """Whether (frontier, upto] is all of the frontier's kind, with no call of `classify`.
+
+        A verdict endpoint is an atom run boundary or a domain edge moved by
+        one of `ast.offsets`, none more than `ast.reach` later.  So no
+        endpoint falls in the window, or on the frontier, while the trackers
+        of the assertion's atoms have no boundary since ``frontier - reach``
+        and, where that is before the stream start ``t0``, no ``t0 + o`` is
+        near the window; the margin covers the rounding of the shifts.  The
+        domain end moves by no more than the horizon, to ``upto`` at the
+        earliest, and the cut lies a lookback before the frontier.  A match
+        is not extended past a horizon: where it lasts to the domain end, it
+        ends at the end's image, which the rounding of the shifts can put an
+        ulp before ``upto``.  A boundary that blocks this window blocks every
+        window until the frontier passes it by the reach: ``loud_until``
+        keeps that point, and `feed` calls this only past it.
+        """
+        if st.kind is None or st.kind == "match" and st.horizon:
+            return False
+        margin = 4 * self.eps
+        since = st.frontier - st.reach - margin
+        last = max(map(_LAST, st.trackers))
+        if last >= since:
+            st.loud_until = last + st.reach + margin
+            return False
+        if since >= self._t0:
+            return True
+        if st.offsets is None:
+            return False
+        i = bisect_left(st.offsets, st.frontier - margin - self._t0)
+        return i == len(st.offsets) or self._t0 + st.offsets[i] > upto + margin
+
     def _decide(self, st: _PropState, ev: _Evaluator, upto: float) -> list[tuple[Key, str]]:
         """Classify (frontier, upto] and move the frontier to ``upto``.
 
         Vacuous pieces join the held list; the match, fail and
         undetermined pieces are returned in time order, as component
         keys with their kind.  The kinds are disjoint, so no two keys tie.
+        The kind of the piece that holds ``upto``, if any, is kept as the frontier's.
         """
         window = Interval(st.frontier, upto, False, True).intersect(ev.domain)
-        st.frontier = upto
+        st.frontier, st.kind = upto, None
         if window.is_empty:
             return []
         rep = classify(ev, st.prop, st.name, window)
         extend_in_order(st.vacuous, rep.vacuous.keys, self.eps)
         kinds = (("match", rep.nonvacuous), ("fail", rep.fail), ("undetermined", rep.undetermined))
-        return sorted((k, kind) for kind, pieces in kinds for k in pieces.keys)
+        pieces = sorted((k, kind) for kind, pieces in kinds for k in pieces.keys)
+        # the kind of the piece that holds upto; none does where normalization dropped a sliver there
+        if pieces and pieces[-1][0][2:] == (upto, True):
+            st.kind = pieces[-1][1]
+        elif rep.vacuous.keys and rep.vacuous.keys[-1][2:] == (upto, True):
+            st.kind = "vacuous"
+        return pieces
 
     def _trim(self) -> None:
         cut = min([st.frontier - st.lookback for st in self.props]) - 2 * self.eps

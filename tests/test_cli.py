@@ -672,6 +672,11 @@ class TestNoTraceback:
         # a bound that overflows to inf, and finite bounds whose sum does
         "assertions-bound-not-finite": ("assertions", b"p: {V(x)>0} |-> ##[0:1e309] {V(x)>0};\n"),
         "assertions-horizon-not-finite": ("assertions", b"p: {V(x)>0} |-> ##[0:1e308] {V(x)>0}[*1e308];\n"),
+        # ast.depth and the engine recurse once or more per level
+        "assertions-antecedent-nested-too-deep": ("assertions", b"p: {V(x)>0}" + b" ##[0:1] {V(x)>0.5}" * 1500
+                                                  + b" |-> {V(x)>0};\n"),
+        "assertions-consequent-nested-too-deep": ("assertions", b"p: {V(x)>0} |-> {V(x)>0}"
+                                                  + b" ##[0:1] {V(x)>0.5}" * 1500 + b";\n"),
     }
     # (line, column) of the first byte that is not UTF-8, and that byte
     NOT_UTF8 = {

@@ -4,6 +4,7 @@ import pytest
 
 from amscheck import (
     BoundError,
+    IntervalSet,
     ParseError,
     RecurrenceError,
     UnsupportedFeatureError,
@@ -196,6 +197,35 @@ class TestErrors:
     def test_largest_finite_bounds_pass(self):
         p = parse_property("{x}[*1e308] |-> ##[0:1e308] {y};")
         assert (depth(p.antecedent), horizon(p)) == (1e308, 1e308)
+
+    CHAIN = " ##[0:0.01] {V(x)>0.5}"
+
+    @pytest.mark.parametrize("text", [
+        "{V(x)>0}" + CHAIN * 1500 + " |-> {V(x)>0};",
+        "{V(x)>0} |-> {V(x)>0}" + CHAIN * 1500 + ";",
+        "{" + " OR ".join(["V(x)>0"] * 1500) + "} |-> {V(x)>0};",
+    ], ids=["antecedent-chain", "consequent-chain", "or-chain"])
+    def test_nesting_too_deep(self, text):
+        with pytest.raises(BoundError, match=f"^assertion nests deeper than {A.MAX_NESTING} levels$"):
+            parse_file("p: " + text)
+
+    def test_deepest_nesting_checks_and_streams(self):
+        """The walks over a property recurse per level: the deepest chain that validates
+        still prints, reparses, checks and streams."""
+        from amscheck import Session, Trace, assertion_match, build_table
+
+        steps = A.MAX_NESTING - 2  # the property, the innermost step's SeqBool and its atom are levels too
+        with pytest.raises(BoundError):
+            parse_property("{V(x)>0}" + self.CHAIN * (steps + 1) + " |-> {V(x)>0};")
+        for text in ["{V(x)>0}" + self.CHAIN * steps + " |-> {V(x)>0};",
+                     "{V(x)>0} |-> {V(x)>0}" + self.CHAIN * steps + ";"]:
+            p = parse_property(text, name="p")
+            assert parse_property(pretty(p), name="p") == p
+            tr = Trace([0.0, 0.5, 1.0, 1.5, 2.0], {"x": [1.0, 0.2, 1.0, 1.0, -1.0]})
+            rep = assertion_match(p, build_table(tr, p))
+            sess = Session([p], ["x"])
+            verdicts = [v for i in range(len(tr)) for v in sess.feed(*tr.sample(i))] + sess.finalize()
+            assert IntervalSet([v.interval for v in verdicts if v.kind == "fail"]).approx_eq(rep.fail)
 
     def test_negative_recurrence(self):
         with pytest.raises(RecurrenceError):

@@ -4,11 +4,13 @@ import gc
 import math
 import pickle
 import random
+import re
 from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 
-from _corpus import decimal_trace, random_property
+from _corpus import decimal_trace, random_property, random_trace
 from amscheck import (
     BoundError,
     Interval,
@@ -28,6 +30,7 @@ from amscheck import (
     set_intersect,
     set_union,
 )
+from amscheck import ast as A
 from amscheck import online
 from amscheck.ast import Delay, Repeat
 from amscheck.engine import _Evaluator
@@ -585,7 +588,7 @@ class TestExactZeroEvent:
         """Knots, values and thresholds on decimal grids put many exact zeros on the samples;
         with no delay, no window edge falls between samples, so kind unions equal offline."""
         from _corpus import _bexpr, _porv
-        from amscheck import ast as A, validate
+        from amscheck import validate
         from amscheck.expr import compile_expr
 
         rng = random.Random(seed)
@@ -616,3 +619,153 @@ class TestExactZeroEvent:
             if i + 1 in (1_000, 10_000):
                 retained[i + 1] = sess.retained_runs()
         assert 0 < retained[10_000] <= retained[1_000]
+
+
+def _nonaffine(p):
+    """``p`` with every ``V(s)`` read as ``V(s)*V(s)-V(s0)/2``, so the trackers bisect its crossings."""
+    return parse_property(re.sub(r"V\((\w+)\)", r"(V(\1)*V(\1)-V(s0)/2)", pretty(p)), name=p.name)
+
+
+def _scaled(p, k):
+    """``p`` with every delay, hold and recurrence bound times ``k``."""
+    def walk(s):
+        if isinstance(s, A.Repeat):
+            return A.Repeat(walk(s.seq), s.dur * k)
+        if isinstance(s, A.Delay):
+            return A.Delay(walk(s.left), s.lo * k, s.hi * k, walk(s.right))
+        if isinstance(s, A.RepeatUntil):
+            return A.RepeatUntil(walk(s.seq), s.lo * k, s.hi * k, walk(s.cont))
+        return s
+    delay = (p.delay[0] * k, p.delay[1] * k) if p.delay else None
+    return A.validate(A.Property(walk(p.antecedent), walk(p.consequent), delay, p.name))
+
+
+def _session_log(props, tr, every_feed_classifies):
+    """All a stream shows: each feed's verdicts with ``decided_at``, `retained_runs` after
+    every feed, `pending_obligations` every seventh feed, and finalize's verdicts; and how
+    many windows took the quiet path."""
+    sess = Session(props, tr.kinds)
+    quiet = sess._quiet
+    taken = []
+    sess._quiet = (lambda st, upto: False) if every_feed_classifies else (
+        lambda st, upto: taken.append(quiet(st, upto)) or taken[-1])
+    log = []
+    for i in range(len(tr)):
+        log.append([(v.name, v.kind, v.interval.key, v.decided_at) for v in sess.feed(*tr.sample(i))])
+        log.append(sess.retained_runs())
+        if i % 7 == 0:
+            log.append([(o.name, o.component.key, o.deadline) for o in sess.pending_obligations()])
+    log.append([(v.name, v.kind, v.interval.key, v.decided_at) for v in sess.finalize()])
+    return log, sum(taken)
+
+
+class TestQuietWindows:
+    """A window with no atom run boundary and no stream start moved into it by a shift of
+    `ast.offsets` is emitted with the frontier's kind without `classify`, and the stream
+    shows exactly what it shows when every feed classifies."""
+
+    @staticmethod
+    def draw(rng, variant):
+        """One to three assertions over one trace: corpus traces resampled to 200-1000
+        samples with non-affine predicates, the decimal corpus, times and bounds scaled by
+        1e-6 or 1e-9, or the stream started 1e3 trace lengths late."""
+        if variant == "decimal":
+            tr = decimal_trace(rng)
+            props = [random_property(rng, list(tr.signals), step=0.25) for _ in range(rng.randint(1, 3))]
+            return [Property(p.antecedent, p.consequent, p.delay, f"r{j}") for j, p in enumerate(props)], tr
+        tr = random_trace(rng)
+        names = list(tr.signals)
+        props = [random_property(rng, names) for _ in range(rng.randint(1, 3))]
+        props = [Property(p.antecedent, p.consequent, p.delay, f"r{j}") for j, p in enumerate(props)]
+        props = [_nonaffine(p) if rng.random() < 0.5 else p for p in props]
+        times = np.unique(np.concatenate((tr.times()[[0, -1]], np.sort([rng.random() for _ in range(
+            rng.randint(200, 1000))]))))
+        cols = {s: np.interp(times, tr.times(), tr.values(s)) for s in names}
+        k, start = {"resampled": (1.0, 0.0), "micro": (1e-6, 0.0), "nano": (1e-9, 0.0), "late": (1.0, 1e3)}[variant]
+        return [_scaled(p, k) for p in props], Trace((times + start) * k, cols)
+
+    @pytest.mark.parametrize("variant", ["resampled", "decimal", "micro", "nano", "late"])
+    def test_same_stream_as_classifying_every_feed(self, variant):
+        rng = random.Random(f"quiet-{variant}")
+        taken = 0
+        for case in range(100 if variant == "decimal" else 8):  # a decimal trace has 5-14 samples
+            props, tr = self.draw(rng, variant)
+            got, n = _session_log(props, tr, False)
+            taken += n
+            assert got == _session_log(props, tr, True)[0], (case, [pretty(p) for p in props])
+        # at 1e-9 every window is narrower than the time tolerance until finalize
+        assert (taken == 0) if variant == "nano" else (taken > 100), taken
+
+    def test_a_quiet_stretch_skips_classify(self, monkeypatch):
+        windows = []
+        classify = online.classify
+
+        def recorded(ev, prop, name, within):
+            windows.append(within)
+            return classify(ev, prop, name, within)
+
+        monkeypatch.setattr(online, "classify", recorded)
+        sess = Session([parse_property("{V(x)>0}[*0.01] |-> {V(y)>0}", name="p")], ["x", "y"])
+        feeds = [(k * 1e-3, [1.0, 1.0 if k < 300 else -1.0]) for k in range(400)]
+        verdicts = [v for t, vals in feeds for v in sess.feed(t, vals)]
+        # the first window and the ones within 0.01 of the stream start or of y's fall
+        assert len(windows) < 40 < len(feeds)
+        assert {v.kind for v in verdicts} == {"match", "fail"}
+
+    def test_a_shift_past_the_antecedent_depth(self):
+        """An inner ``##`` ends its right operand's hold after the operand began, so a run of
+        ``b`` starting at 2 moves the consequent's begin matches to 3, a shift of 1 where the
+        antecedent's depth is 0: a window is quiet only if no boundary is 1 old."""
+        p = parse_property("{V(x)>0} |-> {V(a)>0} ##[0:0] {V(b)>0}[*1]", name="p")
+        assert A.offsets(p) == (0.0, 1.0) and A.reach(p) == 1.0 > depth(p.antecedent)
+        times = [round(k * 0.01, 10) for k in range(501)]
+        tr = Trace(times, {"x": [1.0] * 501, "a": [1.0] * 501, "b": [-1.0 if t < 2.005 else 1.0 for t in times]})
+        got, taken = _session_log([p], tr, False)
+        assert taken > 0 and got == _session_log([p], tr, True)[0]
+        rep = assertion_match(p, build_table(tr, p))
+        assert rep.nonvacuous.approx_eq(IntervalSet([Interval(3.005, 5.0, False, True)]))
+
+    def test_a_match_to_the_newest_sample_is_classified(self):
+        """Classify ends a match that lasts to the newest sample t at t's image through the
+        consequent's holds, (t - 0.022) - 0.022, which is an ulp before upto = t - 0.044 at
+        t = 0.085; the stream does not extend such a match, and keeps no frontier kind where
+        the dropped sliver after it holds upto."""
+        p = parse_property("{V(x)>0} |-> {{V(y)>0}[*0.022]}[*0.022]", name="p")
+        assert (0.085 - 0.022) - 0.022 < 0.085 - horizon(p)
+        tr = Trace([k * 1e-3 for k in range(300)], {"x": [1.0] * 300, "y": [1.0] * 300})
+        assert _session_log([p], tr, False)[0] == _session_log([p], tr, True)[0]
+
+    def test_over_the_offsets_cap_the_warm_up_classifies(self, monkeypatch):
+        p = parse_property("{V(x)>0}[*0.5] |-> {V(y)>0}", name="p")
+        tr = Trace([k * 0.01 for k in range(200)], {"x": [1.0] * 200, "y": [1.0 if k % 70 < 60 else -1.0
+                                                                          for k in range(200)]})
+
+        def warm_up_shortcuts():
+            """Windows that took the quiet path, split by whether the frontier was within the
+            reach of the stream start."""
+            sess = Session([p], tr.kinds)
+            quiet, taken = sess._quiet, {True: 0, False: 0}
+
+            def counted(st, upto):
+                ok = quiet(st, upto)
+                taken[st.frontier - st.reach - 4 * sess.eps < sess._t0] += ok
+                return ok
+
+            sess._quiet = counted
+            return stream(sess, tr) + sess.finalize(), taken
+
+        want, taken = warm_up_shortcuts()
+        assert A.offsets(p) == (0.0, 0.5) and taken[True] > 0 and taken[False] > 0
+        monkeypatch.setattr(A, "MAX_OFFSETS", 1)
+        assert A.offsets(p) is None
+        got, taken = warm_up_shortcuts()
+        assert got == want and taken[True] == 0 and taken[False] > 0
+
+    def test_offsets_within_horizon_and_reach(self):
+        rng = random.Random(4242)
+        for _ in range(500):
+            p = random_property(rng, ["s0", "s1"], step=rng.choice([None, 0.25]))
+            shifts = A.offsets(p)
+            assert 0.0 in shifts and shifts == tuple(sorted(shifts))
+            assert -horizon(p) - 1e-12 <= shifts[0] and shifts[-1] <= A.reach(p) + 1e-12, pretty(p)
+            assert A.reach(p) >= depth(p.antecedent)
