@@ -7,13 +7,10 @@ at sample points.  Includes a streaming checker, a brute-force grid
 oracle for differential testing, and a Verilog-AMS monitor generator.
 
 Importing the package loads only the parser (`errors`, `expr`, `ast`,
-`parser`).  Every other name in `_LAZY`, and each module named there,
-such as `amscheck.engine`, imports its module on first access: `atoms`
-for `AtomTable` and `build_table`, `engine` for `MatchReport` and
-`assertion_match`, `intervals` for `Interval`, `IntervalSet`, `TIME_TOL`
-and the set operations, `online` for `Session`, `Verdict` and
-`Obligation`.  Only the trace, oracle, wavegen and codegen names load
-numpy, so a `Session` and the engine over an `AtomTable` run without it.
+`parser`).  Every other public name, and each module, such as
+`amscheck.engine`, imports its module on first access; `_LAZY` below is
+the one table of which name loads which module.  Only the trace, oracle
+and wavegen modules load numpy.
 """
 
 import importlib
@@ -65,54 +62,7 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
-__all__ = [
-    "AmscheckError",
-    "BoundError",
-    "AtomTable",
-    "CodegenConfig",
-    "CodegenError",
-    "DomainError",
-    "EncodingError",
-    "GridError",
-    "Interval",
-    "IntervalSet",
-    "InvalidDelayError",
-    "MatchReport",
-    "Obligation",
-    "ParseError",
-    "Property",
-    "ProtocolError",
-    "RecurrenceError",
-    "Session",
-    "TIME_TOL",
-    "Trace",
-    "TraceError",
-    "UnknownSignalError",
-    "UnsupportedFeatureError",
-    "ValidationError",
-    "Verdict",
-    "assertion_match",
-    "build_table",
-    "collect_atoms",
-    "depth",
-    "fixture_spec",
-    "fixture_trace",
-    "generate",
-    "generate_monitors",
-    "horizon",
-    "load_csv",
-    "load_spec",
-    "minkowski_diff_set",
-    "minkowski_sum_set",
-    "grid_resolves",
-    "oracle_classify",
-    "parse_file",
-    "parse_property",
-    "pretty",
-    "save_csv",
-    "set_complement",
-    "set_difference",
-    "set_intersect",
-    "set_union",
-    "validate",
-]
+
+# every name the import lines above bind from a submodule, and every name of `_LAZY`
+__all__ = sorted({n for n, v in globals().items() if getattr(v, "__module__", "").startswith(__name__ + ".")}
+                 | _LAZY.keys())

@@ -14,7 +14,7 @@ import math
 from typing import Iterator, Optional, Union
 
 from .errors import BoundError, RecurrenceError, UnsupportedFeatureError
-from .expr import Node, format_number, render_expr
+from .expr import BinOp, Neg, Node, format_number, render_expr
 
 
 class _TreeNode(Node):
@@ -244,7 +244,10 @@ def _fmt_pos(pos: Optional[tuple[int, int]]) -> str:
 
 
 def _check_node(n) -> None:
-    if isinstance(n, And):
+    if isinstance(n, Property):
+        if n.delay is not None:
+            _check_window(*n.delay)
+    elif isinstance(n, And):
         if sum(isinstance(t, EventAtom) for t in n.terms) > 1:
             raise UnsupportedFeatureError("at most one event per conjunct")
     elif isinstance(n, Repeat):
@@ -265,22 +268,32 @@ def _check_window(a: float, b: float, pos: Optional[tuple[int, int]] = None) -> 
 
 MAX_NESTING = 100  # levels a property may nest: the walks over it recurse once or more per level
 
+_OPERATORS = (BinOp, Neg)
+
 
 def validate(p: Property) -> Property:
-    """Check the nesting first, then structural rules, and that every bound, the
-    antecedent's `depth` and the `horizon` are finite; returns ``p`` unchanged on success."""
+    """Check the nesting and the structural rules in one walk, in source order, then that the
+    antecedent's `depth` and the `horizon` are finite; returns ``p`` unchanged on success.
+
+    Each node is one level below its parent.  So is each arithmetic operator of
+    a predicate below the one it feeds, while the top operator shares the
+    predicate's level, as ``V(x) > 0.5`` stands for ``V(x) - 0.5 > 0``.
+    """
     stack = [(p, 0)]
     while stack:
         n, level = stack.pop()
         if level > MAX_NESTING:
             raise BoundError(f"assertion nests deeper than {MAX_NESTING} levels")
-        stack.extend((c, level + 1) for c in children(n))
-    for n in iter_nodes(p.antecedent):
         _check_node(n)
-    if p.delay is not None:
-        _check_window(*p.delay)
-    for n in iter_nodes(p.consequent):
-        _check_node(n)
+        if isinstance(n, _OPERATORS):
+            below = (n.left, n.right) if isinstance(n, BinOp) else (n.operand,)
+            stack.extend((e, level + 1) for e in below if isinstance(e, _OPERATORS))
+        elif isinstance(n, ATOMS):
+            pred = n.pred if isinstance(n, EventAtom) else n
+            if isinstance(pred, Porv) and isinstance(pred.expr, _OPERATORS):
+                stack.append((pred.expr, level))
+        else:
+            stack.extend((c, level + 1) for c in reversed(children(n)))
     reach, span = depth(p.antecedent), horizon(p)
     if not (math.isfinite(reach) and math.isfinite(span)):
         raise BoundError(f"antecedent depth {reach:g} and horizon {span:g} must be finite")

@@ -85,6 +85,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.value_tol = value_tol
+        self.depth = 0  # bracket, `~`, unary minus and recurrence levels open at `pos`
 
     # -- token helpers --------------------------------------------------
 
@@ -119,6 +120,23 @@ class _Parser:
         last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
         return ParseError(msg, last.line, last.col + len(last.text))
 
+    def nested(self, rule, opens: str = "", close: str = ""):
+        """Take the one-character tokens of ``opens``, then ``rule()`` one level deeper, then the
+        ``close`` token if given; a ParseError at the next token when it would open more than
+        `ast.MAX_NESTING` levels."""
+        if self.depth == ast.MAX_NESTING:
+            raise self.fail(f"assertion nests deeper than {ast.MAX_NESTING} levels")
+        for kind in opens:
+            self.expect(kind)
+        self.depth += 1
+        try:
+            node = rule()
+        finally:
+            self.depth -= 1
+        if close:
+            self.expect(close)
+        return node
+
     # -- arithmetic -----------------------------------------------------
 
     def number(self) -> float:
@@ -145,13 +163,9 @@ class _Parser:
         if self.at("num"):
             return Const(float(self.take().text))
         if self.at("-"):
-            self.take()
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor, "-"))
         if self.at("("):
-            self.take()
-            node = self.arith()
-            self.expect(")")
-            return node
+            return self.nested(self.arith, "(", ")")
         if self.at("id"):
             tok = self.take()
             if self.at("("):
@@ -231,22 +245,15 @@ class _Parser:
 
     def bmember(self) -> ast.BExpr:
         if self.at("~"):
-            self.take()
-            if self.at("{"):
-                self.take()
-                inner = self.bexpr()
-                self.expect("}")
-                return ast.Not(inner)
-            return ast.Not(self.bmember())
+            if self.at("{", 1):
+                return ast.Not(self.nested(self.bexpr, "~{", "}"))
+            return ast.Not(self.nested(self.bmember, "~"))
         if self.at("@"):
             return self.event()
         if self.at("("):
             mark = self.pos
-            self.take()
             try:
-                inner = self.bexpr()
-                self.expect(")")
-                return inner
+                return self.nested(self.bexpr, "(", ")")
             except ParseError:
                 self.pos = mark  # reparse as parenthesized arithmetic
             return self.rel()
@@ -284,16 +291,9 @@ class _Parser:
 
     def seq_atom(self) -> ast.SeqExpr:
         if self.at("{"):
-            self.take()
-            inner = self.seq()
-            self.expect("}")
-            return inner
+            return self.nested(self.seq, "{", "}")
         if self.at("~"):
-            self.take()
-            self.expect("{")
-            inner_b = self.bexpr()
-            self.expect("}")
-            return ast.SeqBool(ast.Not(inner_b))
+            return ast.SeqBool(ast.Not(self.nested(self.bexpr, "~{", "}")))
         return ast.SeqBool(self.bexpr())
 
     def unit(self) -> ast.SeqExpr:
@@ -306,7 +306,7 @@ class _Parser:
                 self.take()
                 b = self.number()
                 self.expect("]")
-                cont = self.unit()
+                cont = self.nested(self.unit)
                 node = ast.RepeatUntil(node, a, b, cont, (tok.line, tok.col))
             else:
                 self.expect("]")

@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import amscheck
@@ -32,6 +33,12 @@ def test_all_unique_and_resolvable():
     missing = [n for n in names if not hasattr(amscheck, n)]
     assert not missing
     assert not hasattr(amscheck, "load_cvs") and not hasattr(amscheck, "Sesion")
+    # every first-use name and every error class is exported, and no module or private name is
+    errors = [v for v in vars(amscheck.errors).values()
+              if isinstance(v, type) and issubclass(v, amscheck.AmscheckError) and v.__module__ == "amscheck.errors"]
+    assert set(amscheck._LAZY) | {e.__name__ for e in errors} <= set(names)
+    assert amscheck.BoundError in errors
+    assert not [n for n in names if n.startswith("_") or isinstance(getattr(amscheck, n), types.ModuleType)]
     # in a new interpreter, dir() lists every name before any is loaded, and a star import binds them all
     code = """
 import json, amscheck

@@ -329,6 +329,7 @@ class TestNumericOptions:
         [
             ("check", "--time-tol", "nan"),
             ("check", "--time-tol", "inf"),
+            ("check", "--time-tol", "abc"),
             ("stream", "--time-tol", "-1e-9"),
             ("check", "--value-tol", "nan"),
             ("check", "--value-tol", "-1"),
@@ -496,6 +497,16 @@ class TestStream:
         monkeypatch.setattr("sys.stdin", io.StringIO("0.0 0.0 0.0\n"))
         assert main(["stream", str(props), "--signals", "x,d:boolean"]) == 2
         assert capsys.readouterr().err == checked and checked.startswith("error: ")
+
+    def test_empty_signal_entry_skipped(self, tmp_path, monkeypatch, capsys):
+        props = tmp_path / "props.txt"
+        props.write_text("p: {V(x)>0} |-> {d};\n")
+        outs = []
+        for signals in ("x,,d:boolean", "x,d:boolean"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("0.0 1.0 1\n1.0 2.0 0\n2.0 -1.0 0\n"))
+            assert main(["stream", str(props), "--signals", signals]) == 1
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and "fail" in outs[0].out
 
     @pytest.mark.parametrize("signals", ["x,x", "x:analog,x:boolean", "x,y:analog,x"])
     def test_duplicate_signal_names_exit_two(self, tmp_path, monkeypatch, capsys, signals):
@@ -677,6 +688,13 @@ class TestNoTraceback:
                                                   + b" |-> {V(x)>0};\n"),
         "assertions-consequent-nested-too-deep": ("assertions", b"p: {V(x)>0} |-> {V(x)>0}"
                                                   + b" ##[0:1] {V(x)>0.5}" * 1500 + b";\n"),
+        # the parser recurses once per brace and per recurrence continuation, and the hash of a
+        # predicate once per arithmetic operator
+        "assertions-braces-nested-too-deep": ("assertions", b"p: " + b"{" * 1500 + b"V(x)>0" + b"}" * 1500
+                                              + b" |-> {V(x)>0};\n"),
+        "assertions-recurrences-nested-too-deep": ("assertions", b"p: " + b"{V(x)>0}[*0:1] " * 1500
+                                                   + b"{V(x)>0} |-> {V(x)>0};\n"),
+        "assertions-sum-nested-too-deep": ("assertions", b"p: {V(x)" + b"+V(x)" * 600 + b">0} |-> {V(x)>0};\n"),
     }
     # (line, column) of the first byte that is not UTF-8, and that byte
     NOT_UTF8 = {

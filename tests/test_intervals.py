@@ -6,6 +6,7 @@ import random
 import pytest
 
 from amscheck import (
+    DomainError,
     Interval,
     IntervalSet,
     InvalidDelayError,
@@ -163,6 +164,15 @@ class TestSetOps:
 
     def test_complement_of_empty_is_domain(self):
         assert set_complement(IntervalSet(), I(0, 5)).approx_eq(S((0, 5)))
+
+    def test_complement_outside_the_domain_rejected(self):
+        assert set_complement(IntervalSet(), I(1, 0)).is_empty
+        with pytest.raises(DomainError, match="^complement of a non-empty set within an empty domain$"):
+            set_complement(S((1, 2)), I(1, 0))
+        for a, part in ((S((-1, 2)), "-1:2"), (S((1, 2), (8, 11)), "8:11")):
+            with pytest.raises(DomainError) as exc:
+                set_complement(a, I(0, 10))
+            assert str(exc.value) == f"component [{part}] lies outside domain [0:10]"
 
     def test_difference(self):
         dom = I(0, 10)

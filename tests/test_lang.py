@@ -200,25 +200,44 @@ class TestErrors:
 
     CHAIN = " ##[0:0.01] {V(x)>0.5}"
 
-    @pytest.mark.parametrize("text", [
-        "{V(x)>0}" + CHAIN * 1500 + " |-> {V(x)>0};",
-        "{V(x)>0} |-> {V(x)>0}" + CHAIN * 1500 + ";",
-        "{" + " OR ".join(["V(x)>0"] * 1500) + "} |-> {V(x)>0};",
-    ], ids=["antecedent-chain", "consequent-chain", "or-chain"])
-    def test_nesting_too_deep(self, text):
-        with pytest.raises(BoundError, match=f"^assertion nests deeper than {A.MAX_NESTING} levels$"):
+    @pytest.mark.parametrize("text,where", [
+        ("{V(x)>0}" + CHAIN * 1500 + " |-> {V(x)>0};", ""),
+        ("{V(x)>0} |-> {V(x)>0}" + CHAIN * 1500 + ";", ""),
+        ("{" + " OR ".join(["V(x)>0"] * 1500) + "} |-> {V(x)>0};", ""),
+        # the parser recurses once per bracket, `~`, unary minus and recurrence continuation:
+        # it stops at the token that opens the level past the cap
+        ("{" * 1500 + "V(x)>0" + "}" * 1500 + " |-> {V(x)>0};", "line 1, col 104: "),
+        ("{" + "(" * 1500 + "V(x)>0" + ")" * 1500 + "} |-> {V(x)>0};", "line 1, col 104: "),
+        ("{" + "~{" * 1500 + "V(x)>0" + "}" * 1501 + " |-> {V(x)>0};", "line 1, col 203: "),
+        ("{" + "-" * 1500 + "V(x)>0} |-> {V(x)>0};", "line 1, col 104: "),
+        ("{V(x)>0}[*0:1] " * 1500 + "{V(x)>0} |-> {V(x)>0};", "line 1, col 1504: "),
+        # hashing, compiling and printing a predicate recurse once per arithmetic operator
+        ("{V(x)" + "+V(x)" * 600 + ">0} |-> {V(x)>0};", ""),
+        ("{V(x)" + "*V(x)" * 150 + ">0} |-> {V(x)>0};", ""),
+    ], ids=["antecedent-chain", "consequent-chain", "or-chain", "braces", "parentheses", "negations", "unary-minus",
+            "recurrence-chain", "sum", "product"])
+    def test_nesting_too_deep(self, text, where):
+        with pytest.raises(ParseError if where else BoundError) as exc:
             parse_file("p: " + text)
+        assert str(exc.value) == f"{where}assertion nests deeper than {A.MAX_NESTING} levels"
 
     def test_deepest_nesting_checks_and_streams(self):
-        """The walks over a property recurse per level: the deepest chain that validates
-        still prints, reparses, checks and streams."""
+        """The walks over a property recurse per level: the deepest chain, sum and
+        bracketing that validate still print, reparse, check and stream."""
         from amscheck import Session, Trace, assertion_match, build_table
 
         steps = A.MAX_NESTING - 2  # the property, the innermost step's SeqBool and its atom are levels too
+        ops = A.MAX_NESTING - 1  # the predicate's top operator shares its level, two below the property
         with pytest.raises(BoundError):
             parse_property("{V(x)>0}" + self.CHAIN * (steps + 1) + " |-> {V(x)>0};")
+        with pytest.raises(BoundError):
+            parse_property("{V(x)" + "+V(x)" * (ops + 1) + ">0} |-> {V(x)>0};")
+        with pytest.raises(ParseError):
+            parse_property("{" * (A.MAX_NESTING + 1) + "V(x)>0" + "}" * (A.MAX_NESTING + 1) + " |-> {V(x)>0};")
         for text in ["{V(x)>0}" + self.CHAIN * steps + " |-> {V(x)>0};",
-                     "{V(x)>0} |-> {V(x)>0}" + self.CHAIN * steps + ";"]:
+                     "{V(x)>0} |-> {V(x)>0}" + self.CHAIN * steps + ";",
+                     "{V(x)" + "+V(x)" * ops + ">0} |-> {V(x)>0};",
+                     "{" * A.MAX_NESTING + "V(x)>0" + "}" * A.MAX_NESTING + " |-> {V(x)>0};"]:
             p = parse_property(text, name="p")
             assert parse_property(pretty(p), name="p") == p
             tr = Trace([0.0, 0.5, 1.0, 1.5, 2.0], {"x": [1.0, 0.2, 1.0, 1.0, -1.0]})

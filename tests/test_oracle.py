@@ -117,6 +117,10 @@ class TestGridPreconditions:
         p = parse_property("{V(Vin)>3} |-> ##[0.00001:0.00002] {V(Vout)>1.8};")
         with pytest.raises(GridError):
             oracle_classify(tr, p, dt=1.9e-6)  # tightest sample gap is smaller
+        # without bounds, only the sample spacing limits dt
+        tr = Trace([0.0, 0.5, 0.75, 1.0], {"x": [0.0, 1.0, 0.0, 1.0]})
+        with pytest.raises(GridError, match="^dt=0.3 exceeds the smallest sample spacing 0.25$"):
+            oracle_classify(tr, parse_property("{V(x)>0.5} |-> {V(x)>0.2};"), dt=0.3)
 
 
     def test_grid_over_the_point_cap(self, monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from amscheck import Trace, TraceError, UnknownSignalError, build_table, load_csv, parse_property, save_csv
-from amscheck import AmscheckError, trace
+from amscheck import AmscheckError, cli, trace
 from amscheck.wavegen import fixture_trace
 
 
@@ -44,6 +44,10 @@ class TestConstruction:
     def test_too_short(self):
         with pytest.raises(TraceError):
             Trace([0.0], {"v": [1.0]})
+
+    def test_no_signal(self):
+        with pytest.raises(TraceError, match="^a trace needs at least one signal$"):
+            Trace([0.0, 1.0], {})
 
     def test_unknown_kind(self):
         with pytest.raises(TraceError):
@@ -150,6 +154,18 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(TraceError):
             load_csv(path)
+
+    @pytest.mark.parametrize("text,msg", [
+        ("", "{}: no header row"),
+        ("# a comment\n\n  \n# another\n", "{}: no header row"),
+        ("time,x\n", "a trace needs at least two samples"),
+    ], ids=["empty", "comments-and-blank-lines", "header-only"])
+    def test_no_samples_exit_two(self, tmp_path, capsys, text, msg):
+        path, props = tmp_path / "t.csv", tmp_path / "p.txt"
+        path.write_text(text)
+        props.write_text("p: {V(x)>0} |-> {V(x)>0};\n")
+        assert cli.main(["check", str(path), str(props)]) == 2
+        assert capsys.readouterr().err == f"error: {msg.format(path)}\n"
 
 
 def write_bytes(tmp_path, text: str) -> pathlib.Path:
