@@ -12,15 +12,16 @@ frontier up to now - horizon and emits its match and fail pieces.  It
 runs `engine.classify` on the window unless the window is quiet: no run
 boundary of the assertion's atoms, and no stream start, moved by one of
 the shifts of `ast.offsets`, falls in it or on the frontier, and the
-frontier's kind is not a match of an assertion with a horizon.  All of a
-quiet window has the frontier's kind, and the step emits it as
-`classify` would have, so verdicts are the same either way.  A window
-no wider than the time tolerance waits for the next sample, as
-normalization would drop it.  So does every window while
-the latest truth run boundary lies within the time tolerance before the
-newest sample (one pass over the trackers): the run begun or ended there
-is a sliver that normalization would also drop, and offline the same
-instants see the run that follows it.  While a predicate that an event
+frontier's kind is not a match of an assertion with a horizon.  A run
+boundary at the stream start itself, where a predicate is exactly 0 at
+the first sample, is the stream start.  All of a quiet window has the
+frontier's kind, and the step emits it as `classify` would have, so
+verdicts are the same either way.  A window no wider than the time
+tolerance waits for the next sample, as normalization would drop it.
+So does every window while the latest truth run boundary lies within the
+time tolerance before the newest sample (one pass over the trackers): the
+run begun or ended there is a sliver that normalization would also drop,
+and offline the same instants see the run that follows it.  While a predicate that an event
 reads is exactly 0 at the newest sample, decisions stop at the sample
 before it: only the next sample shows whether a run starts or ends there,
 and so whether the event happens.  Vacuous pieces are held and reported
@@ -187,8 +188,9 @@ class Session:
                 continue
             moved = True
             if st.frontier > st.loud_until and self._quiet(st, upto):
-                if st.kind == "vacuous":
-                    extend_in_order(st.vacuous, [(st.frontier, True, upto, True)], self.eps)
+                if st.kind == "vacuous":  # the last held piece ends closed at the frontier: extend it
+                    lo, lo_open = st.vacuous[-1][:2]
+                    st.vacuous[-1] = (lo, lo_open, upto, True)
                 else:
                     out.append(Verdict(st.name, st.kind, Interval(st.frontier, upto, False, True), t))
                 st.frontier = upto
@@ -249,7 +251,12 @@ class Session:
         endpoint falls in the window, or on the frontier, while the trackers
         of the assertion's atoms have no boundary since ``frontier - reach``
         and, where that is before the stream start ``t0``, no ``t0 + o`` is
-        near the window; the margin covers the rounding of the shifts.  The
+        near the window; the margin covers the rounding of the shifts.  A
+        boundary at ``t0`` itself, from a predicate exactly 0 at the first
+        sample or a crossing that rounds to ``t0``, is the domain edge, not a
+        truth change: its images are the ``t0 + o`` that the offsets test
+        checks, and where ``since >= t0`` they all end before the frontier.
+        So neither the boundary test nor ``loud_until`` counts it.  The
         domain end moves by no more than the horizon, to ``upto`` at the
         earliest, and the cut lies a lookback before the frontier.  A match
         is not extended past a horizon: where it lasts to the domain end, it
@@ -263,7 +270,7 @@ class Session:
         margin = 4 * self.eps
         since = st.frontier - st.reach - margin
         last = max(map(_LAST, st.trackers))
-        if last >= since:
+        if last >= since and last != self._t0:
             st.loud_until = last + st.reach + margin
             return False
         if since >= self._t0:

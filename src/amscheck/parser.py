@@ -86,6 +86,7 @@ class _Parser:
         self.pos = 0
         self.value_tol = value_tol
         self.depth = 0  # bracket, `~`, unary minus and recurrence levels open at `pos`
+        self.groups: dict = {}  # (pos, depth) of a `(` -> its arithmetic group or ParseError, and the end
 
     # -- token helpers --------------------------------------------------
 
@@ -165,7 +166,7 @@ class _Parser:
         if self.at("-"):
             return Neg(self.nested(self.factor, "-"))
         if self.at("("):
-            return self.nested(self.arith, "(", ")")
+            return self.group()
         if self.at("id"):
             tok = self.take()
             if self.at("("):
@@ -177,6 +178,22 @@ class _Parser:
                 return SignalRef(name)
             return _BoolRef(tok.text)  # bare identifier, resolved by make_rel
         raise self.fail("expected a number, signal, or parenthesized expression")
+
+    def group(self) -> Expr:
+        """``( arith )`` at `pos`, parsed once per position and level.  A Boolean member that
+        fails as ``( bexpr )`` reparses its text as arithmetic, and so does the member of every
+        `(` around it: each of them reads the groups inside from here, so the parse stays
+        linear in the nesting depth."""
+        key = (self.pos, self.depth)
+        if key not in self.groups:
+            try:
+                self.groups[key] = self.nested(self.arith, "(", ")"), self.pos
+            except ParseError as err:
+                self.groups[key] = err, self.pos
+        node, self.pos = self.groups[key]
+        if isinstance(node, ParseError):
+            raise node
+        return node
 
     # -- relations ------------------------------------------------------
 

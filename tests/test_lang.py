@@ -84,6 +84,31 @@ class TestParseShapes:
         assert isinstance(b, A.And)
         assert b.terms == (A.Or(porv("V(x)>0"), porv("V(y)>0")), A.BoolSignal("d"))
 
+    @pytest.mark.parametrize("text,want", [
+        ("{%sV(x)%s>0}", porv("V(x)>0")),
+        ("{%sV(x)>0%s}", porv("V(x)>0")),
+        ("{%sV(x)+1%s*2>0}", porv("(V(x)+1)*2>0")),
+        ("{%sd%s}", A.BoolSignal("d")),
+        ("{%sV(x)>%s}", "expected ')', got '>'"),
+    ], ids=["arithmetic", "boolean", "arithmetic-then-operator", "signal", "neither"])
+    def test_parentheses_parse_in_linear_time(self, monkeypatch, text, want):
+        """Each `(` of a member is tried as a Boolean group and then reread as arithmetic, and
+        so is every `(` around it; the arithmetic inside is parsed once, so the tokens taken grow
+        linearly with the depth, and the result is the same at any depth."""
+        from amscheck import parser
+
+        taken = []
+        take = parser._Parser.take
+        monkeypatch.setattr(parser._Parser, "take", lambda self: taken.append(self.pos) or take(self))
+        for n in (1, 10, 98):
+            src = "p: " + text % ("(" * n, ")" * n) + " |-> {V(x)>0};"
+            del taken[:]
+            try:
+                got = parse_file(src)[0].antecedent.bexpr
+            except ParseError as exc:
+                got = str(exc).split(": ", 1)[1]
+            assert got == want and len(taken) <= 2 * len(parser._lex(src)), (n, len(taken))
+
     def test_analog_equality_is_a_value_tol_band(self):
         # V(x)==1 holds where (x - 1) + tol >= 0 and tol - (x - 1) >= 0
         for tol in (1e-6, 1e-3):

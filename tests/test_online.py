@@ -640,15 +640,25 @@ def _scaled(p, k):
     return A.validate(A.Property(walk(p.antecedent), walk(p.consequent), delay, p.name))
 
 
-def _session_log(props, tr, every_feed_classifies):
+def _session_log(props, tr, every_feed_classifies, t0_rule=True):
     """All a stream shows: each feed's verdicts with ``decided_at``, `retained_runs` after
     every feed, `pending_obligations` every seventh feed, and finalize's verdicts; and how
-    many windows took the quiet path."""
+    many windows took the quiet path.  Without the ``t0_rule``, a run boundary at the stream
+    start blocks the quiet path as a later one does."""
     sess = Session(props, tr.kinds)
     quiet = sess._quiet
+
+    def gate(st, upto):
+        last, margin = max(k.last for k in st.trackers), 4 * sess.eps
+        if t0_rule or st.kind is None or st.kind == "match" and st.horizon or not (
+                last == sess._t0 >= st.frontier - st.reach - margin):
+            return quiet(st, upto)
+        st.loud_until = last + st.reach + margin
+        return False
+
     taken = []
     sess._quiet = (lambda st, upto: False) if every_feed_classifies else (
-        lambda st, upto: taken.append(quiet(st, upto)) or taken[-1])
+        lambda st, upto: taken.append(gate(st, upto)) or taken[-1])
     log = []
     for i in range(len(tr)):
         log.append([(v.name, v.kind, v.interval.key, v.decided_at) for v in sess.feed(*tr.sample(i))])
@@ -668,7 +678,8 @@ class TestQuietWindows:
     def draw(rng, variant):
         """One to three assertions over one trace: corpus traces resampled to 200-1000
         samples with non-affine predicates, the decimal corpus, times and bounds scaled by
-        1e-6 or 1e-9, or the stream started 1e3 trace lengths late."""
+        1e-6 or 1e-9, the stream started 1e3 trace lengths late, or affine predicates only
+        with each signal's first sample on the threshold of one that reads it."""
         if variant == "decimal":
             tr = decimal_trace(rng)
             props = [random_property(rng, list(tr.signals), step=0.25) for _ in range(rng.randint(1, 3))]
@@ -677,24 +688,41 @@ class TestQuietWindows:
         names = list(tr.signals)
         props = [random_property(rng, names) for _ in range(rng.randint(1, 3))]
         props = [Property(p.antecedent, p.consequent, p.delay, f"r{j}") for j, p in enumerate(props)]
-        props = [_nonaffine(p) if rng.random() < 0.5 else p for p in props]
+        if variant != "zero-start":
+            props = [_nonaffine(p) if rng.random() < 0.5 else p for p in props]
         times = np.unique(np.concatenate((tr.times()[[0, -1]], np.sort([rng.random() for _ in range(
             rng.randint(200, 1000))]))))
         cols = {s: np.interp(times, tr.times(), tr.values(s)) for s in names}
-        k, start = {"resampled": (1.0, 0.0), "micro": (1e-6, 0.0), "nano": (1e-9, 0.0), "late": (1.0, 1e3)}[variant]
+        if variant == "zero-start":
+            # a corpus predicate reads k*V(s) - c; it is exactly 0 at V(s) = c/k, as k is 1, -1 or 2
+            for s in names:
+                limits = [n.expr.right.value / n.expr.left.left.value for p in props for n in A.iter_nodes(p)
+                          if isinstance(n, A.Porv) and n.expr.left.right.name == s]
+                if limits:
+                    cols[s][0] = rng.choice(limits)
+        k, start = {"resampled": (1.0, 0.0), "micro": (1e-6, 0.0), "nano": (1e-9, 0.0), "late": (1.0, 1e3),
+                    "zero-start": (1.0, 0.0)}[variant]
         return [_scaled(p, k) for p in props], Trace((times + start) * k, cols)
 
-    @pytest.mark.parametrize("variant", ["resampled", "decimal", "micro", "nano", "late"])
+    @pytest.mark.parametrize("variant", ["resampled", "decimal", "micro", "nano", "late", "zero-start"])
     def test_same_stream_as_classifying_every_feed(self, variant):
         rng = random.Random(f"quiet-{variant}")
-        taken = 0
-        for case in range(100 if variant == "decimal" else 8):  # a decimal trace has 5-14 samples
+        taken = without_t0_rule = 0
+        # a decimal trace has 5-14 samples; in most zero-start traces a later flip blocks the
+        # same windows as the one at t0
+        for case in range({"decimal": 100, "zero-start": 24}.get(variant, 8)):
             props, tr = self.draw(rng, variant)
             got, n = _session_log(props, tr, False)
             taken += n
             assert got == _session_log(props, tr, True)[0], (case, [pretty(p) for p in props])
+            if variant == "zero-start":
+                log, n = _session_log(props, tr, False, t0_rule=False)
+                assert log == got
+                without_t0_rule += n
         # at 1e-9 every window is narrower than the time tolerance until finalize
         assert (taken == 0) if variant == "nano" else (taken > 100), taken
+        if variant == "zero-start":
+            assert taken > without_t0_rule, (taken, without_t0_rule)
 
     def test_a_quiet_stretch_skips_classify(self, monkeypatch):
         windows = []
@@ -711,6 +739,37 @@ class TestQuietWindows:
         # the first window and the ones within 0.01 of the stream start or of y's fall
         assert len(windows) < 40 < len(feeds)
         assert {v.kind for v in verdicts} == {"match", "fail"}
+
+    @staticmethod
+    def pinned_stream(monkeypatch, head):
+        """``{V(x)>0}[*0.01] |-> {V(y)>0}`` over 400 samples 1e-3 apart, where ``x`` takes the
+        values ``head`` first and 1 after them and ``y`` stays 1: the stream's `_session_log`,
+        how many `classify` calls it made, and whether it shows the same when every feed
+        classifies."""
+        p = parse_property("{V(x)>0}[*0.01] |-> {V(y)>0}", name="p")
+        tr = Trace([k * 1e-3 for k in range(400)], {"x": [*head, *[1.0] * (400 - len(head))], "y": [1.0] * 400})
+        calls = []
+        classify = online.classify
+        monkeypatch.setattr(online, "classify", lambda *args: calls.append(args[3]) or classify(*args))
+        log = _session_log([p], tr, False)[0]
+        return log, len(calls), log == _session_log([p], tr, True)[0]
+
+    def test_a_flip_at_the_stream_start_is_the_domain_edge(self, monkeypatch):
+        """``x`` is exactly 0 at the first sample, so its run starts open at t0: the images of
+        that boundary are the stream start's, and only the first window, the ones near
+        t0 + 0.01 and finalize classify."""
+        log, calls, same = self.pinned_stream(monkeypatch, [0.0])
+        assert same and calls <= 5, calls
+        verdicts = [v[1:3] for entry in log if isinstance(entry, list) for v in entry if len(v) == 4]
+        # x holds on (0, 0.399], so the antecedent first ends a match just after 0.01
+        assert verdicts[-1] == ("vacuous-end", (0.0, False, 0.01, True))
+        assert {kind for kind, _ in verdicts[:-1]} == {"match"} and verdicts[0][1][:2] == (0.01, True)
+
+    def test_a_flip_one_sample_later_blocks_the_shortcut(self, monkeypatch):
+        """``x`` is exactly 0 at the second sample and rises after it: a run boundary there
+        blocks the quiet path until the frontier passes it by the reach."""
+        log, calls, same = self.pinned_stream(monkeypatch, [-1.0, 0.0])
+        assert same and calls >= 10, calls  # every window up to 0.001 + 0.01
 
     def test_a_shift_past_the_antecedent_depth(self):
         """An inner ``##`` ends its right operand's hold after the operand began, so a run of
